@@ -19,13 +19,19 @@ class TensorError(ValueError):
 
 
 def _check_finite(arr, op, allow_neg_inf=False):
+    """One pass over `arr`; the message is worked out only after a failure."""
+    if allow_neg_inf:
+        # max propagates NaN, so one reduction catches both NaN and +inf
+        ok = arr.size == 0 or arr.max() < np.inf
+    else:
+        ok = np.isfinite(arr).all()
+    if ok:
+        return
     if np.isnan(arr).any():
         raise TensorError(f"{op}: NaN in result")
     if allow_neg_inf:
-        if np.isposinf(arr).any():
-            raise TensorError(f"{op}: +inf in result")
-    elif not np.isfinite(arr).all():
-        raise TensorError(f"{op}: non-finite value in result")
+        raise TensorError(f"{op}: +inf in result")
+    raise TensorError(f"{op}: non-finite value in result")
 
 
 class Tensor:
@@ -53,9 +59,6 @@ class Tensor:
             self.grad = np.array(g, dtype=self.data.dtype, copy=True)
         else:
             self.grad = self.grad + g
-
-    def detach(self):
-        return Tensor(self.data.copy(), requires_grad=False)
 
     def item(self):
         return float(self.data.reshape(-1)[0])
@@ -165,10 +168,6 @@ def mul(a, b):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
     return _record("mul", (a, b), out, bw)
-
-
-def neg(a):
-    return _record("neg", (a,), -a.data, lambda g: (-g,))
 
 
 def scale(a, s):
@@ -305,8 +304,13 @@ def matmul(a, b):
 
     def bw(g):
         ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        if b.data.ndim == 2 and a.data.ndim > 2:
+            # one GEMM over the flattened batch; no [B, C, D] stack to sum
+            c = a.shape[-1]
+            gb = a.data.reshape(-1, c).T @ g.reshape(-1, b.shape[-1])
+        else:
+            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        return _unbroadcast(ga, a.shape), gb
 
     return _record("matmul", (a, b), out, bw)
 
@@ -343,20 +347,45 @@ def layer_norm(x, gamma, beta, eps=1e-6):
     """Normalize the last dim to zero mean / unit variance, then affine."""
     if eps <= 0:
         raise TensorError("layer_norm: eps must be > 0")
-    mu = mean(x, axis=-1, keepdims=True)
-    xc = sub(x, mu)
-    var = mean(square(xc), axis=-1, keepdims=True)
-    inv = reciprocal(sqrt(add(var, as_tensor(eps, like=x))))
-    return add(mul(mul(xc, inv), gamma), beta)
+    gamma, beta = as_tensor(gamma, like=x), as_tensor(beta, like=x)
+    inv_n = 1.0 / x.shape[-1]
+    xc = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+    var = (xc * xc).sum(axis=-1, keepdims=True) * inv_n
+    # an overflowing or NaN variance would otherwise vanish into inv = 0
+    _check_finite(var, "layer_norm")
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    out = xhat * gamma.data + beta.data
+
+    def bw(g):
+        gx = g * gamma.data
+        gx = inv * (
+            gx
+            - gx.sum(axis=-1, keepdims=True) * inv_n
+            - xhat * ((gx * xhat).sum(axis=-1, keepdims=True) * inv_n)
+        )
+        return gx, _unbroadcast(g * xhat, gamma.shape), _unbroadcast(g, beta.shape)
+
+    return _record("layer_norm", (x, gamma, beta), out, bw)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
 
 
 def gelu(x):
     """tanh-approximation GELU."""
-    inner = scale(add(x, scale(mul(square(x), x), 0.044715)), _GELU_C)
-    return mul(scale(x, 0.5), add(tanh(inner), as_tensor(1.0, like=x)))
+    cube = x.data * x.data * x.data
+    # the cubic term overflows long before the output does
+    _check_finite(cube, "gelu")
+    t = np.tanh((x.data + cube * _GELU_A) * _GELU_C)
+    out = x.data * 0.5 * (t + 1.0)
+
+    def bw(g):
+        dt = (1.0 - t * t) * (_GELU_C * (1.0 + 3.0 * _GELU_A * (x.data * x.data)))
+        return (g * (0.5 * (t + 1.0) + 0.5 * x.data * dt),)
+
+    return _record("gelu", (x,), out, bw)
 
 
 def softmax_cross_entropy(logits, labels):

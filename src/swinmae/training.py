@@ -5,6 +5,7 @@ binary checkpoints, per-epoch loss CSV.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -80,37 +81,62 @@ _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
 
 
-def save_checkpoint(path, params, metadata=None):
-    """Binary format: magic, u32 metadata byte length, UTF-8 key=value lines,
-    u32 tensor count, then per tensor: u32 name length, name, dtype code u8,
-    rank u8, u32 dims, little-endian payload."""
-    meta = "".join(
-        f"{k}={v}\n" for k, v in sorted((metadata or {}).items())
-    ).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", len(meta)))
-        f.write(meta)
-        items = params.items()
-        f.write(struct.pack("<I", len(items)))
-        for name, p in items:
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<I", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<BB", _DTYPE_CODES[p.dtype], p.data.ndim))
-            f.write(struct.pack(f"<{p.data.ndim}I", *p.data.shape))
-            f.write(np.ascontiguousarray(p.data, dtype=p.dtype.newbyteorder("<")).tobytes())
-
-
 class CheckpointError(ValueError):
     pass
 
 
+def _metadata_block(metadata):
+    lines = []
+    for k, v in sorted((metadata or {}).items()):
+        line = f"{k}={v}"
+        # the reader splits on line breaks, then on the first "="
+        if "=" in str(k) or line.splitlines() != [line]:
+            raise CheckpointError(
+                f"metadata {k!r}={v!r}: keys may not contain '=' and "
+                "neither may contain a line break"
+            )
+        lines.append(line + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+def save_checkpoint(path, params, metadata=None):
+    """Binary format: magic, u32 metadata byte length, UTF-8 key=value lines,
+    u32 tensor count, then per tensor: u32 name length, name, dtype code u8,
+    rank u8, u32 dims, little-endian payload.
+
+    The file is written next to `path` and renamed over it, so a failed
+    write leaves the previous checkpoint intact."""
+    meta = _metadata_block(metadata)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_MAGIC)
+            f.write(struct.pack("<I", len(meta)))
+            f.write(meta)
+            items = params.items()
+            f.write(struct.pack("<I", len(items)))
+            for name, p in items:
+                nb = name.encode("utf-8")
+                f.write(struct.pack("<I", len(nb)))
+                f.write(nb)
+                f.write(struct.pack("<BB", _DTYPE_CODES[p.dtype], p.data.ndim))
+                f.write(struct.pack(f"<{p.data.ndim}I", *p.data.shape))
+                f.write(np.ascontiguousarray(p.data, dtype=p.dtype.newbyteorder("<")).tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def _read_exact(f, n, what):
-    buf = f.read(n)
-    if len(buf) != n:
-        raise CheckpointError(f"truncated checkpoint while reading {what}")
-    return buf
+    """Read n bytes, refusing any claim larger than what the file still holds."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise CheckpointError(
+            f"truncated checkpoint while reading {what}: {n} bytes claimed, {left} left"
+        )
+    return f.read(n)
 
 
 def load_checkpoint(path):
@@ -133,7 +159,7 @@ def load_checkpoint(path):
                 raise CheckpointError(f"unknown dtype code {code}")
             dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, "dims"))
             dtype = _CODE_DTYPES[code]
-            n_bytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
+            n_bytes = math.prod(dims) * dtype.itemsize
             payload = _read_exact(f, n_bytes, f"payload of {name!r}")
             tensors[name] = np.frombuffer(
                 payload, dtype=dtype.newbyteorder("<")

@@ -282,6 +282,18 @@ def tiny_model():
     return SwinMae(spec, seed=0), spec
 
 
+def test_desk_loss_tape_node_count():
+    """LayerNorm and GELU are one tape node each: 18 LN + 7 GELU calls."""
+    spec = desk_spec()
+    model = SwinMae(spec, seed=0)
+    plan = build_mask_plan(
+        spec.mask_grid_d, spec.mask_window_r, spec.mask_ratio, split_rng(0, 1)
+    )
+    with Tape() as tape:
+        model.loss(Tensor(split_rng(0, 2).random((2, 3, 32, 32))), plan)
+    assert len(tape.nodes) == 336
+
+
 def test_end_to_end_grad_check_small():
     model, spec = tiny_model()
     plan = build_mask_plan(

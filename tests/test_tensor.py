@@ -188,6 +188,87 @@ def test_per_op_grad_check(name, f):
     assert T.grad_check(f, x) < 1e-6, name
 
 
+def test_matmul_batched_grad_check():
+    """[2,3,4] @ [4,5]: the weight gradient is one GEMM over the batch."""
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((2, 3, 4))
+    w = rng.standard_normal((4, 5))
+    wrt_w = lambda t: T.sum_(T.square(T.matmul(Tensor(a), t)))
+    wrt_a = lambda t: T.sum_(T.square(T.matmul(t, Tensor(w))))
+    assert T.grad_check(wrt_w, Tensor(w.copy())) < 1e-6
+    assert T.grad_check(wrt_a, Tensor(a.copy())) < 1e-6
+
+
+@pytest.mark.parametrize("wrt", ["x", "gamma", "beta"])
+def test_layer_norm_3d_grad_check(wrt):
+    rng = np.random.default_rng(9)
+    args = {
+        "x": rng.standard_normal((2, 3, 4)),
+        "gamma": rng.standard_normal(4),
+        "beta": rng.standard_normal(4),
+    }
+    weights = Tensor(rng.standard_normal((2, 3, 4)))
+
+    def f(t):
+        x, gamma, beta = (t if k == wrt else Tensor(v) for k, v in args.items())
+        return T.sum_(T.square(T.mul(T.layer_norm(x, gamma, beta), weights)))
+
+    assert T.grad_check(f, Tensor(args[wrt].copy())) < 1e-6
+
+
+def test_gelu_grad_check_wide_range():
+    x = Tensor(np.linspace(-6.0, 6.0, 12).reshape(3, 4))
+    assert T.grad_check(lambda t: T.sum_(T.square(T.gelu(t))), x) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "op,f",
+    [
+        ("layer_norm", lambda x: T.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4)))),
+        ("gelu", T.gelu),
+    ],
+)
+def test_fused_ops_record_one_node(op, f):
+    x = Tensor(np.random.default_rng(10).standard_normal((2, 3, 4)), requires_grad=True)
+    with Tape() as tape:
+        f(x)
+    assert [n.op for n in tape.nodes] == [op]
+
+
+# ------------------------------------------------------------ finite checks
+
+
+def test_finite_check_allow_neg_inf():
+    out = T.add(Tensor([-np.inf, 1.0]), Tensor([0.0, 0.0]), allow_neg_inf=True)
+    assert out.data.tolist() == [-np.inf, 1.0]
+    with pytest.raises(TensorError, match=r"add: \+inf"):
+        T.add(Tensor([-np.inf, np.inf]), Tensor([0.0, 0.0]), allow_neg_inf=True)
+    with pytest.raises(TensorError, match="add: NaN"):
+        T.add(Tensor([-np.inf, np.nan]), Tensor([0.0, 0.0]), allow_neg_inf=True)
+
+
+def test_finite_check_neg_inf_elsewhere():
+    with pytest.raises(TensorError, match="add: non-finite"):
+        T.add(Tensor([-np.inf, 1.0]), Tensor([0.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "op,f",
+    [
+        ("layer_norm", lambda x: T.layer_norm(x, Tensor(np.ones(2)), Tensor(np.zeros(2)))),
+        ("gelu", T.gelu),
+    ],
+)
+def test_fused_ops_reject_nan_and_overflow(op, f):
+    with pytest.raises(TensorError, match=f"{op}: NaN"):
+        f(Tensor([[np.nan, 1.0]]))
+    # 1e103 cubed and (2e200)^2 both overflow f64
+    big = [[1e103, 2.0]] if op == "gelu" else [[1e200, -1e200]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TensorError, match=f"{op}: non-finite"):
+            f(Tensor(big))
+
+
 def test_backward_deterministic():
     rng = np.random.default_rng(7)
     w_data = rng.standard_normal((4, 4))

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -199,6 +200,53 @@ def test_checkpoint_unknown_dtype_code_rejected(tmp_path):
     blob[idx] = 9
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointError, match="dtype"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_failed_write_keeps_previous(tmp_path):
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, small_store(1), {"epoch": 0})
+    broken = small_store(2)
+    broken.add("z", Tensor(np.ones(2)))
+    broken["z"].data = np.ones(2, dtype=np.float16)  # no dtype code: fails last
+    with pytest.raises(KeyError):
+        save_checkpoint(path, broken, {"epoch": 1})
+    meta, tensors = load_checkpoint(path)
+    assert meta == {"epoch": "0"}
+    np.testing.assert_array_equal(tensors["head"], small_store(1)["head"].data)
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.bin"]
+
+
+@pytest.mark.parametrize(
+    "metadata", [{"a\nb": 1}, {"a=b": 1}, {"k": "x\ny"}, {"k": "x\r"}]
+)
+def test_checkpoint_bad_metadata_rejected(tmp_path, metadata):
+    path = tmp_path / "ck.bin"
+    with pytest.raises(CheckpointError, match="metadata"):
+        save_checkpoint(path, small_store(), metadata)
+    assert not path.exists()
+
+
+def _one_tensor_header(name_len, dims):
+    """Header of a one-f64-tensor checkpoint named "w" with the given claims."""
+    return (
+        b"SWMAE\x01" + struct.pack("<II", 0, 1) + struct.pack("<I", name_len)
+        + b"w" + struct.pack("<BB", 1, len(dims)) + struct.pack(f"<{len(dims)}I", *dims)
+    )
+
+
+@pytest.mark.parametrize(
+    "name_len,dims",
+    [
+        (1, (1 << 17,)),  # payload: 1 MiB claimed, 8 bytes present
+        (1 << 20, (1,)),  # name: 1 MiB claimed
+        (1, (1 << 16,) * 4),  # 2^64 elements: wraps to 0 in int64
+    ],
+)
+def test_checkpoint_oversized_claim_rejected(tmp_path, name_len, dims):
+    path = tmp_path / "claim.bin"
+    path.write_bytes(_one_tensor_header(name_len, dims) + b"\x00" * 8)
+    with pytest.raises(CheckpointError, match="claimed"):
         load_checkpoint(path)
 
 
