@@ -7,6 +7,8 @@ grad-check, ablate. Exit codes: 0 success, 1 runtime failure, 2 usage.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import os
 import sys
 
@@ -17,13 +19,13 @@ from .tensor import Tensor, TensorError
 from .patches import PatchSpec
 from .masking import build_mask_plan, split_rng
 from .model import ModelSpec, SwinMae, pixel_mask
-from .training import load_checkpoint, run_pretraining
+from .training import load_checkpoint, load_params_strict, run_pretraining
 from .segmentation import (
     SwinUnetSpec, build_swin_unet_from_checkpoint, evaluate_segmentation,
     run_finetune,
 )
 from . import data as D
-from .config import RunConfig
+from .config import DEFAULTS, RunConfig
 
 
 def _log(msg):
@@ -47,39 +49,20 @@ def _config(args):
     return RunConfig(**overrides)
 
 
-def _model_spec(cfg, **extra):
-    kw = dict(
-        image=PatchSpec(cfg.image_size, cfg.image_size, cfg.channels, cfg.patch_side),
-        encoder_variant=cfg.encoder_variant,
-        decoder_variant=cfg.decoder_variant,
-        decoder_embedding=cfg.decoder_embedding,
-        decoder_width=cfg.decoder_width,
-        decoder_depth=cfg.decoder_depth,
-        use_abs_pos_embed=cfg.use_abs_pos_embed,
-        embed_dim=cfg.embed_dim,
-        stage_depths=cfg.ints("stage_depths"),
-        head_counts=cfg.ints("head_counts"),
-        attn_window=cfg.attn_window,
-        mask_window_r=cfg.mask_window_r,
-        mask_ratio=cfg.mask_ratio,
-    )
+def _spec(cls, cfg, **extra):
+    """A ModelSpec or SwinUnetSpec from every config key that names one of
+    its fields; `extra` overrides them."""
+    kw = {
+        f.name: cfg.ints(f.name) if isinstance(f.default, tuple) else getattr(cfg, f.name)
+        for f in dataclasses.fields(cls) if f.name in DEFAULTS
+    }
+    kw["image"] = PatchSpec(cfg.image_size, cfg.image_size, cfg.channels, cfg.patch_side)
     kw.update(extra)
-    return ModelSpec(**kw)
+    return cls(**kw)
 
 
-def _unet_spec(cfg, **extra):
-    kw = dict(
-        image=PatchSpec(cfg.image_size, cfg.image_size, cfg.channels, cfg.patch_side),
-        num_classes=cfg.num_classes,
-        embed_dim=cfg.embed_dim,
-        stage_depths=cfg.ints("stage_depths"),
-        head_counts=cfg.ints("head_counts"),
-        attn_window=cfg.attn_window,
-        use_abs_pos_embed=cfg.use_abs_pos_embed,
-        transfer_decoder_weights=cfg.transfer_decoder_weights,
-    )
-    kw.update(extra)
-    return SwinUnetSpec(**kw)
+_model_spec = functools.partial(_spec, ModelSpec)
+_unet_spec = functools.partial(_spec, SwinUnetSpec)
 
 
 # ------------------------------------------------------------- subcommands
@@ -147,8 +130,6 @@ def cmd_eval(args):
     images, labels = D.load_labeled(manifest.labeled)
     _, tensors = load_checkpoint(args.checkpoint)
     model, _ = build_swin_unet_from_checkpoint(None, _unet_spec(cfg), seed=cfg.seed)
-    from .training import load_params_strict
-
     load_params_strict(model.params, tensors)
     report, _ = evaluate_segmentation(
         model, images[manifest.test], labels[manifest.test], warn=_log
@@ -163,8 +144,6 @@ def cmd_reconstruct(args):
     cfg = _config(args)
     _, tensors = load_checkpoint(args.checkpoint)
     model = SwinMae(_model_spec(cfg), seed=cfg.seed)
-    from .training import load_params_strict
-
     load_params_strict(model.params, tensors)
     image = D.load_image(args.image)
     plan = build_mask_plan(

@@ -129,16 +129,6 @@ def apply_mask_tokens(g, plan, mask_vector):
     return TokenGrid(g.batch, g.h_tokens, g.w_tokens, g.dim, out)
 
 
-def drop_masked_tokens(g, plan):
-    """Gather only the kept tokens, in ascending flat-index order."""
-    if plan.n_tokens != g.h_tokens * g.w_tokens:
-        raise TensorError("plan/grid token count mismatch")
-    b, d = g.batch, g.dim
-    x = T.transpose(g.data, (1, 0, 2))
-    x = T.gather(x, plan.keep_indices, axis=0)
-    return T.transpose(x, (1, 0, 2))  # [B, n_keep, dim]
-
-
 def kept_window_grid(g, plan):
     """Re-assemble the kept windows of a dropped grid into a square TokenGrid.
 

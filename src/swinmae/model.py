@@ -144,13 +144,14 @@ def _init_norm(ps, prefix, dim, dtype):
     ps.add(prefix + ".b", Tensor(np.zeros(dim), dtype=dtype))
 
 
-def _init_block(ps, prefix, dim, heads, window_side, rng, dtype, rel_bias=True):
+def _init_block(ps, prefix, dim, heads, window_side, rng, dtype):
+    """`window_side=None` leaves out the relative-bias table."""
     if dim % heads:
         raise TensorError(f"{prefix}: dim {dim} not divisible by {heads} heads")
     _init_norm(ps, prefix + ".norm1", dim, dtype)
     for nm in ("wq", "wk", "wv", "proj"):
         _init_linear(ps, prefix + ".attn." + nm, dim, dim, rng, dtype)
-    if rel_bias:
+    if window_side is not None:
         n_rel = (2 * window_side - 1) ** 2
         ps.add(
             prefix + ".attn.rel_table",
@@ -174,28 +175,49 @@ def effective_window(side, window):
     return min(side, window)
 
 
+def _init_stage(ps, prefix, spec, k, rng, dtype):
+    w_eff = effective_window(spec.stage_sides[k], spec.attn_window)
+    for i in range(spec.stage_depths[k]):
+        _init_block(
+            ps, f"{prefix}.stage{k}.block{i}", spec.stage_dims[k],
+            spec.head_counts[k], w_eff, rng, dtype,
+        )
+
+
+def _init_pos_embed(ps, spec, rng, dtype, prefix="enc"):
+    l0 = spec.enc_input_side ** 2
+    ps.add(
+        f"{prefix}.pos_embed",
+        Tensor(rng.normal(0.0, 0.02, (1, l0, spec.embed_dim)), dtype=dtype),
+    )
+
+
 def build_encoder_params(ps, spec, rng, dtype, prefix="enc"):
     """Shared by the autoencoder and the segmentation net so parameter names
     and shapes line up for weight transfer."""
     p_in = spec.image.patch_side ** 2 * spec.image.channels
     _init_linear(ps, f"{prefix}.embed", p_in, spec.embed_dim, rng, dtype)
     if spec.use_abs_pos_embed:
-        l0 = spec.enc_input_side ** 2
-        ps.add(
-            f"{prefix}.pos_embed",
-            Tensor(rng.normal(0.0, 0.02, (1, l0, spec.embed_dim)), dtype=dtype),
-        )
+        _init_pos_embed(ps, spec, rng, dtype, prefix)
     for k in range(spec.n_stages):
-        side, dim = spec.stage_sides[k], spec.stage_dims[k]
-        w_eff = effective_window(side, spec.attn_window)
-        for i in range(spec.stage_depths[k]):
-            _init_block(
-                ps, f"{prefix}.stage{k}.block{i}", dim,
-                spec.head_counts[k], w_eff, rng, dtype,
-            )
+        _init_stage(ps, prefix, spec, k, rng, dtype)
         if k < spec.n_stages - 1:
+            dim = spec.stage_dims[k]
             _init_norm(ps, f"{prefix}.merge{k}.norm", 4 * dim, dtype)
             _init_linear(ps, f"{prefix}.merge{k}.reduce", 4 * dim, 2 * dim, rng, dtype)
+
+
+def build_expanding_params(ps, spec, prefix, rng, dtype, skip_fusion=False):
+    """Expand -> [skip fusion] -> stage parameters, deepest stage first."""
+    for k in range(spec.n_stages - 2, -1, -1):
+        dim = spec.stage_dims[k]
+        _init_linear(ps, f"{prefix}.expand{k}", 2 * dim, 4 * dim, rng, dtype)
+        if skip_fusion:
+            # linear(expanded) + linear(skip) + bias, equivalent to concat
+            # followed by a 2d -> d reduction
+            _init_linear(ps, f"{prefix}.skip{k}.up", dim, dim, rng, dtype)
+            _init_linear(ps, f"{prefix}.skip{k}.lat", dim, dim, rng, dtype, bias=False)
+        _init_stage(ps, prefix, spec, k, rng, dtype)
 
 
 # ------------------------------------------------------------------ forward
@@ -236,14 +258,17 @@ def attention(xw, ps, prefix, heads, rel_index=None, mask=None):
 
 def swin_block_forward(g, ps, prefix, heads, window, shifted):
     """Pre-norm block: LN -> windowed MSA (shifted or not) -> residual ->
-    LN -> 4x GELU MLP -> residual."""
+    LN -> 4x GELU MLP -> residual. A window as wide as the grid attends
+    globally; the relative bias applies only where the block has a table."""
     side = effective_window(g.h_tokens, window)
     if g.h_tokens % side or g.w_tokens % side:
         raise TensorError(
             f"grid {g.h_tokens}x{g.w_tokens} not divisible by window {side}"
         )
     shifted = shifted and side < g.h_tokens
-    rel_index = relative_position_index(side)
+    rel_index = None
+    if prefix + ".attn.rel_table" in ps:
+        rel_index = relative_position_index(side)
     shortcut = g.data
     x = T.layer_norm(g.data, ps[prefix + ".norm1.g"], ps[prefix + ".norm1.b"])
     xg = TokenGrid(g.batch, g.h_tokens, g.w_tokens, g.dim, x)
@@ -273,7 +298,8 @@ def run_stage(g, ps, prefix, depth, heads, window):
 
 
 def encoder_forward(image, spec, plan, ps, prefix="enc", mask_token=None):
-    """Embed, mask, then run the hierarchical stages.
+    """Embed (plus `<prefix>.pos_embed` when the store has one), mask, then
+    run the hierarchical stages.
 
     Returns (latent TokenGrid, per-stage skip grids taken before each merge).
     """
@@ -284,7 +310,7 @@ def encoder_forward(image, spec, plan, ps, prefix="enc", mask_token=None):
         PatchSpec(*spec.enc_image_hw, spec.image.channels, spec.image.patch_side),
         ps[f"{prefix}.embed.w"], ps[f"{prefix}.embed.b"],
     )
-    if spec.use_abs_pos_embed:
+    if f"{prefix}.pos_embed" in ps:
         g = TokenGrid(
             g.batch, g.h_tokens, g.w_tokens, g.dim,
             T.add(g.data, ps[f"{prefix}.pos_embed"]),
@@ -317,6 +343,23 @@ def encoder_forward(image, spec, plan, ps, prefix="enc", mask_token=None):
                 ps[f"{prefix}.merge{k}.norm.g"], ps[f"{prefix}.merge{k}.norm.b"],
             )
     return g, skips
+
+
+def expanding_path(g, ps, spec, prefix, skips=None):
+    """Expand -> [fuse the encoder skip] -> stage, back up to stage 0."""
+    for k in range(spec.n_stages - 2, -1, -1):
+        g = P.patch_expanding(g, ps[f"{prefix}.expand{k}.w"], ps[f"{prefix}.expand{k}.b"])
+        if skips is not None:
+            fused = T.add(
+                T.linear(g.data, ps[f"{prefix}.skip{k}.up.w"], ps[f"{prefix}.skip{k}.up.b"]),
+                T.linear(skips[k].data, ps[f"{prefix}.skip{k}.lat.w"]),
+            )
+            g = TokenGrid(g.batch, g.h_tokens, g.w_tokens, g.dim, fused)
+        g = run_stage(
+            g, ps, f"{prefix}.stage{k}", spec.stage_depths[k],
+            spec.head_counts[k], spec.attn_window,
+        )
+    return g
 
 
 def upscale2x(image):
@@ -382,28 +425,12 @@ class SwinMae:
                 heads = 1
             self._dec_heads = heads
             for i in range(spec.decoder_depth):
-                _init_block(
-                    self.params, f"dec.block{i}", width, heads, 0, rng, dtype,
-                    rel_bias=False,
-                )
-            _init_norm(self.params, "dec.norm", width, dtype)
-            _init_linear(self.params, "dec.proj", width, self.recon_spec.d, rng, dtype)
+                _init_block(self.params, f"dec.block{i}", width, heads, None, rng, dtype)
         else:
-            last = spec.n_stages - 1
-            for k in range(last - 1, -1, -1):
-                dim = spec.stage_dims[k]
-                side = spec.stage_sides[k]
-                w_eff = effective_window(side, spec.attn_window)
-                _init_linear(self.params, f"dec.expand{k}", 2 * dim, 4 * dim, rng, dtype)
-                for i in range(spec.stage_depths[k]):
-                    _init_block(
-                        self.params, f"dec.stage{k}.block{i}", dim,
-                        spec.head_counts[k], w_eff, rng, dtype,
-                    )
-            _init_norm(self.params, "dec.norm", spec.embed_dim, dtype)
-            _init_linear(
-                self.params, "dec.proj", spec.embed_dim, self.recon_spec.d, rng, dtype
-            )
+            build_expanding_params(self.params, spec, "dec", rng, dtype)
+            width = spec.embed_dim
+        _init_norm(self.params, "dec.norm", width, dtype)
+        _init_linear(self.params, "dec.proj", width, self.recon_spec.d, rng, dtype)
 
     def encode(self, image, plan):
         mask_token = (
@@ -420,34 +447,13 @@ class SwinMae:
             x = latent.data
             if spec.decoder_embedding:
                 x = T.linear(x, ps["dec.embed.w"], ps["dec.embed.b"])
-            width = x.shape[-1]
-            g = TokenGrid(latent.batch, latent.h_tokens, latent.w_tokens, width, x)
-            for i in range(spec.decoder_depth):
-                g = self._global_block(g, f"dec.block{i}")
-            x = T.layer_norm(g.data, ps["dec.norm.g"], ps["dec.norm.b"])
-            return T.linear(x, ps["dec.proj.w"], ps["dec.proj.b"])
-        g = latent
-        for k in range(spec.n_stages - 2, -1, -1):
-            g = P.patch_expanding(g, ps[f"dec.expand{k}.w"], ps[f"dec.expand{k}.b"])
-            g = run_stage(
-                g, ps, f"dec.stage{k}", spec.stage_depths[k],
-                spec.head_counts[k], spec.attn_window,
-            )
+            g = TokenGrid(latent.batch, latent.h_tokens, latent.w_tokens, x.shape[-1], x)
+            # one window over the whole grid: global attention, never shifted
+            g = run_stage(g, ps, "dec", spec.decoder_depth, self._dec_heads, g.h_tokens)
+        else:
+            g = expanding_path(latent, ps, spec, "dec")
         x = T.layer_norm(g.data, ps["dec.norm.g"], ps["dec.norm.b"])
         return T.linear(x, ps["dec.proj.w"], ps["dec.proj.b"])
-
-    def _global_block(self, g, prefix):
-        """Transformer block with attention over the whole token sequence."""
-        ps = self.params
-        shortcut = g.data
-        x = T.layer_norm(g.data, ps[prefix + ".norm1.g"], ps[prefix + ".norm1.b"])
-        x = attention(x, ps, prefix + ".attn", self._dec_heads)
-        x = T.add(shortcut, x)
-        h = T.layer_norm(x, ps[prefix + ".norm2.g"], ps[prefix + ".norm2.b"])
-        h = T.gelu(T.linear(h, ps[prefix + ".mlp.fc1.w"], ps[prefix + ".mlp.fc1.b"]))
-        h = T.linear(h, ps[prefix + ".mlp.fc2.w"], ps[prefix + ".mlp.fc2.b"])
-        x = T.add(x, h)
-        return TokenGrid(g.batch, g.h_tokens, g.w_tokens, g.dim, x)
 
     def forward(self, image, plan):
         latent, _ = self.encode(image, plan)

@@ -11,11 +11,11 @@ import numpy as np
 from . import tensor as T
 from .tensor import ParamStore, Tensor, TensorError
 from . import patches as P
-from .patches import PatchSpec, TokenGrid
+from .patches import PatchSpec
 from .masking import split_rng
 from .model import (
-    ModelSpec, build_encoder_params, run_stage,
-    _init_linear, _init_norm, _init_block, effective_window,
+    ModelSpec, build_encoder_params, build_expanding_params, encoder_forward,
+    expanding_path, _init_linear, _init_norm, _init_pos_embed,
 )
 from .training import Adam, ScheduleConfig, cosine_lr, CheckpointError, save_checkpoint
 from . import metrics as M
@@ -65,28 +65,10 @@ class SwinUnet:
         self._backbone = spec.backbone()
         build_encoder_params(self.params, self._backbone, rng, self.dtype)
         if spec.use_abs_pos_embed:
-            l0 = self._backbone.enc_input_side ** 2
-            self.params.add(
-                "enc.pos_embed",
-                Tensor(rng.normal(0.0, 0.02, (1, l0, spec.embed_dim)), dtype=self.dtype),
-            )
-        bb = self._backbone
-        for k in range(bb.n_stages - 2, -1, -1):
-            dim = bb.stage_dims[k]
-            side = bb.stage_sides[k]
-            w_eff = effective_window(side, spec.attn_window)
-            _init_linear(self.params, f"up.expand{k}", 2 * dim, 4 * dim, rng, self.dtype)
-            # skip fusion: linear(expanded) + linear(skip) + bias, equivalent
-            # to concat followed by a 2d -> d reduction
-            _init_linear(self.params, f"up.skip{k}.up", dim, dim, rng, self.dtype)
-            _init_linear(
-                self.params, f"up.skip{k}.lat", dim, dim, rng, self.dtype, bias=False
-            )
-            for i in range(spec.stage_depths[k]):
-                _init_block(
-                    self.params, f"up.stage{k}.block{i}", dim,
-                    spec.head_counts[k], w_eff, rng, self.dtype,
-                )
+            _init_pos_embed(self.params, self._backbone, rng, self.dtype)
+        build_expanding_params(
+            self.params, self._backbone, "up", rng, self.dtype, skip_fusion=True
+        )
         _init_norm(self.params, "head.norm", spec.embed_dim, self.dtype)
         _init_linear(
             self.params, "head.proj", spec.embed_dim,
@@ -101,37 +83,9 @@ class SwinUnet:
 
     def forward(self, image):
         """[B,C,H,W] image -> [B, num_classes, H, W] logits."""
-        spec, ps, bb = self.spec, self.params, self._backbone
-        g = P.patch_partition(image, spec.image, ps["enc.embed.w"], ps["enc.embed.b"])
-        if spec.use_abs_pos_embed:
-            g = TokenGrid(
-                g.batch, g.h_tokens, g.w_tokens, g.dim,
-                T.add(g.data, ps["enc.pos_embed"]),
-            )
-        skips = []
-        for k in range(bb.n_stages):
-            g = run_stage(
-                g, ps, f"enc.stage{k}", spec.stage_depths[k],
-                spec.head_counts[k], spec.attn_window,
-            )
-            skips.append(g)
-            if k < bb.n_stages - 1:
-                g = P.patch_merging(
-                    g,
-                    ps[f"enc.merge{k}.reduce.w"], ps[f"enc.merge{k}.reduce.b"],
-                    ps[f"enc.merge{k}.norm.g"], ps[f"enc.merge{k}.norm.b"],
-                )
-        for k in range(bb.n_stages - 2, -1, -1):
-            g = P.patch_expanding(g, ps[f"up.expand{k}.w"], ps[f"up.expand{k}.b"])
-            fused = T.add(
-                T.linear(g.data, ps[f"up.skip{k}.up.w"], ps[f"up.skip{k}.up.b"]),
-                T.linear(skips[k].data, ps[f"up.skip{k}.lat.w"]),
-            )
-            g = TokenGrid(g.batch, g.h_tokens, g.w_tokens, g.dim, fused)
-            g = run_stage(
-                g, ps, f"up.stage{k}", spec.stage_depths[k],
-                spec.head_counts[k], spec.attn_window,
-            )
+        spec, ps = self.spec, self.params
+        g, skips = encoder_forward(image, self._backbone, None, ps)
+        g = expanding_path(g, ps, self._backbone, "up", skips)
         x = T.layer_norm(g.data, ps["head.norm.g"], ps["head.norm.b"])
         x = T.linear(x, ps["head.proj.w"], ps["head.proj.b"])
         h, w, c = spec.image.image_h, spec.image.image_w, spec.num_classes

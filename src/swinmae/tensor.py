@@ -303,14 +303,17 @@ def matmul(a, b):
     out = a.data @ b.data
 
     def bw(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        if b.data.ndim == 2 and a.data.ndim > 2:
+        # an operand that needs no gradient (an input image) gets none
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+        if b.requires_grad and b.data.ndim == 2 and a.data.ndim > 2:
             # one GEMM over the flattened batch; no [B, C, D] stack to sum
             c = a.shape[-1]
             gb = a.data.reshape(-1, c).T @ g.reshape(-1, b.shape[-1])
-        else:
+        elif b.requires_grad:
             gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        return _unbroadcast(ga, a.shape), gb
+        return ga, gb
 
     return _record("matmul", (a, b), out, bw)
 

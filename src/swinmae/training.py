@@ -139,6 +139,13 @@ def _read_exact(f, n, what):
     return f.read(n)
 
 
+def _utf8(raw, what):
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{what} is not valid UTF-8: {exc}") from None
+
+
 def load_checkpoint(path):
     """Returns (metadata dict, {name: ndarray})."""
     with open(path, "rb") as f:
@@ -146,14 +153,18 @@ def load_checkpoint(path):
             raise CheckpointError("bad magic: not a checkpoint file")
         (meta_len,) = struct.unpack("<I", _read_exact(f, 4, "metadata length"))
         meta = {}
-        for line in _read_exact(f, meta_len, "metadata").decode("utf-8").splitlines():
-            key, _, value = line.partition("=")
+        for line in _utf8(_read_exact(f, meta_len, "metadata"), "metadata").splitlines():
+            key, eq, value = line.partition("=")
+            if not eq:
+                raise CheckpointError(f"metadata line {line!r} has no '='")
             meta[key] = value
         (count,) = struct.unpack("<I", _read_exact(f, 4, "tensor count"))
         tensors = {}
         for _ in range(count):
             (nlen,) = struct.unpack("<I", _read_exact(f, 4, "name length"))
-            name = _read_exact(f, nlen, "name").decode("utf-8")
+            name = _utf8(_read_exact(f, nlen, "name"), "tensor name")
+            if name in tensors:
+                raise CheckpointError(f"duplicate tensor name {name!r}")
             code, rank = struct.unpack("<BB", _read_exact(f, 2, "dtype/rank"))
             if code not in _CODE_DTYPES:
                 raise CheckpointError(f"unknown dtype code {code}")

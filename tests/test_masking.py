@@ -5,7 +5,7 @@ import swinmae.tensor as T
 from swinmae.tensor import Tape, Tensor, TensorError
 from swinmae.patches import TokenGrid
 from swinmae.masking import (
-    apply_mask_tokens, build_mask_plan, drop_masked_tokens,
+    apply_mask_tokens, build_mask_plan,
     expand_sparse_index, kept_window_grid, split_rng,
 )
 
@@ -173,29 +173,6 @@ def test_apply_mask_dim_mismatch():
     g = grid_of(np.zeros((1, 16, 3)))
     with pytest.raises(TensorError, match="dim"):
         apply_mask_tokens(g, plan, Tensor(np.zeros(4)))
-
-
-def test_drop_masked_tokens_identity_at_ratio_zero():
-    plan = build_mask_plan(2, 2, 0.0, split_rng(0, 0))
-    g = grid_of(np.random.default_rng(4).standard_normal((1, 16, 2)))
-    out = drop_masked_tokens(g, plan)
-    assert np.array_equal(out.data, g.data.data)
-
-
-def test_drop_masked_tokens_order():
-    plan = plan_with_noise(2, 2, 0.5, [0.1, 0.9, 0.8, 0.2])  # keeps windows 0, 3
-    g = grid_of(np.arange(16, dtype=np.float64).reshape(1, 16, 1))
-    out = drop_masked_tokens(g, plan)
-    assert out.data[0, :, 0].tolist() == [0, 1, 4, 5, 10, 11, 14, 15]
-
-
-def test_drop_then_scatter_restores_kept_positions():
-    plan = build_mask_plan(2, 2, 0.5, split_rng(9, 0))
-    g = grid_of(np.random.default_rng(5).standard_normal((1, 16, 2)))
-    out = drop_masked_tokens(g, plan)
-    restored = np.zeros_like(g.data.data)
-    restored[:, plan.keep_indices] = out.data
-    assert np.array_equal(restored[:, plan.keep_indices], g.data.data[:, plan.keep_indices])
 
 
 def test_kept_window_grid_square_requirement():

@@ -294,6 +294,42 @@ def test_desk_loss_tape_node_count():
     assert len(tape.nodes) == 336
 
 
+def test_variant_i_pos_embed_reaches_loss():
+    spec = desk_spec(encoder_variant="I", use_abs_pos_embed=True, decoder_variant="VIT")
+    model = SwinMae(spec, seed=0)
+    plan = build_mask_plan(
+        spec.mask_grid_d, spec.mask_window_r, spec.mask_ratio, split_rng(0, 1)
+    )
+    x = Tensor(split_rng(0, 2).random((1, 3, 32, 32)))
+    before = model.loss(x, plan).item()
+    pe = model.params["enc.pos_embed"]
+    pe.data = pe.data + np.random.default_rng(3).normal(0.0, 0.1, pe.shape)
+    assert model.loss(x, plan).item() != before
+
+
+def test_vit_decoder_block_mixes_globally():
+    # a 4x4 latent grid is wider than the 2-token attention window
+    spec = desk_spec(
+        stage_depths=(1, 1), head_counts=(2, 2), decoder_variant="VIT",
+        decoder_depth=1,
+    )
+    model = SwinMae(spec, seed=0)
+    side, dim = model.latent_side, model.latent_dim
+    assert side > spec.attn_window
+    rng = np.random.default_rng(4)
+    lat = rng.standard_normal((1, side * side, dim))
+    base = model.decode(TokenGrid(1, side, side, dim, Tensor(lat))).data
+    lat[0, 0] += rng.standard_normal(dim)
+    out = model.decode(TokenGrid(1, side, side, dim, Tensor(lat))).data
+    assert np.all(np.any(out != base, axis=-1))
+
+
+def test_vit_decoder_blocks_have_no_relative_bias():
+    names = SwinMae(desk_spec(decoder_variant="VIT"), seed=0).params.names()
+    assert "dec.block1.attn.wq.w" in names
+    assert not [n for n in names if n.startswith("dec.") and "rel_table" in n]
+
+
 def test_end_to_end_grad_check_small():
     model, spec = tiny_model()
     plan = build_mask_plan(

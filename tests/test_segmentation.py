@@ -40,6 +40,15 @@ def test_abs_pos_embed_flag_adds_parameter():
     assert "enc.pos_embed" not in with_pe.encoder_param_names()
 
 
+def test_abs_pos_embed_reaches_logits():
+    model = SwinUnet(unet_spec(use_abs_pos_embed=True), seed=0)
+    x = Tensor(rand_images(1))
+    before = model.forward(x).data
+    pe = model.params["enc.pos_embed"]
+    pe.data = pe.data + np.random.default_rng(1).normal(0.0, 0.1, pe.shape)
+    assert not np.array_equal(model.forward(x).data, before)
+
+
 def test_loss_positive_and_near_log_ncls_at_init():
     model = SwinUnet(unet_spec(), seed=0)
     labels = np.random.default_rng(0).integers(0, 3, size=(1, 32, 32))

@@ -37,6 +37,23 @@ def test_matmul_oracle():
     assert np.max(np.abs(got - loop_matmul(a, b))) < 1e-12
 
 
+@pytest.mark.parametrize("const", ["a", "b"])
+def test_matmul_backward_skips_operand_without_grad(const):
+    rng = np.random.default_rng(2)
+    a = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=const != "a")
+    b = Tensor(rng.standard_normal((5, 2)), requires_grad=const != "b")
+    with Tape() as tape:
+        y = T.matmul(a, b)
+    g = rng.standard_normal(y.shape)
+    ga, gb = tape.nodes[0].backward_fn(g)
+    if const == "a":
+        assert ga is None
+        np.testing.assert_array_equal(gb, a.data.reshape(-1, 5).T @ g.reshape(-1, 2))
+    else:
+        assert gb is None
+        np.testing.assert_array_equal(ga, g @ b.data.T)
+
+
 def test_matmul_shape_error():
     with pytest.raises(TensorError, match="inner dims"):
         T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))

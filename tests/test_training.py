@@ -250,6 +250,38 @@ def test_checkpoint_oversized_claim_rejected(tmp_path, name_len, dims):
         load_checkpoint(path)
 
 
+def _raw_checkpoint(meta, names):
+    """Checkpoint bytes with raw metadata and one 1-element f64 tensor per name."""
+    out = b"SWMAE\x01" + struct.pack("<I", len(meta)) + meta + struct.pack("<I", len(names))
+    for nb in names:
+        out += struct.pack("<I", len(nb)) + nb + struct.pack("<BBI", 1, 1, 1) + b"\x00" * 8
+    return out
+
+
+def test_raw_checkpoint_loads_with_empty_metadata_value(tmp_path):
+    path = tmp_path / "ok.bin"
+    path.write_bytes(_raw_checkpoint(b"epoch=1\nnote=\n", [b"w", b"v"]))
+    meta, tensors = load_checkpoint(path)
+    assert meta == {"epoch": "1", "note": ""}
+    assert sorted(tensors) == ["v", "w"]
+
+
+@pytest.mark.parametrize(
+    "meta,names,match",
+    [
+        (b"\xff\xfe", [b"w"], "metadata is not valid UTF-8"),
+        (b"epoch\n", [b"w"], "no '='"),
+        (b"", [b"\xff"], "tensor name is not valid UTF-8"),
+        (b"", [b"w", b"w"], "duplicate tensor name"),
+    ],
+)
+def test_checkpoint_malformed_content_rejected(tmp_path, meta, names, match):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(_raw_checkpoint(meta, names))
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+
+
 def test_load_params_strict_errors():
     ps = small_store()
     full = {n: ps[n].data.copy() for n in ps.names()}
