@@ -246,10 +246,7 @@ def cmd_ablate(args):
     for tag, kw in (
         ("decoder-vit", dict(decoder_variant="VIT")),
         ("decoder-swin", dict(decoder_variant="SWIN")),
-        ("decoder-swin+de", dict(
-            decoder_variant="VIT", decoder_embedding=True,
-            decoder_width=cfg.embed_dim * 4,
-        )),
+        ("decoder-swin+de", dict(decoder_variant="VIT", decoder_width=cfg.embed_dim * 4)),
     ):
         ckpt = pretrain(tag, **kw)
         finetune(tag, ckpt)

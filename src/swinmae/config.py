@@ -21,7 +21,6 @@ DEFAULTS = {
     "mask_ratio": 0.75,
     "encoder_variant": "III",
     "decoder_variant": "SWIN",
-    "decoder_embedding": False,
     "decoder_width": 0,
     "decoder_depth": 2,
     "use_abs_pos_embed": False,

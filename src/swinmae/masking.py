@@ -29,7 +29,6 @@ class MaskPlan:
     mask_ratio: float
     keep_indices: np.ndarray  # sorted flat token indices kept visible
     mask_flags: np.ndarray  # per-token bool, True = masked
-    seed: object = None
     mode: str = "window"
 
     @property
@@ -55,8 +54,10 @@ class MaskPlan:
 
 
 def expand_sparse_index(x, d, r):
-    """Flat token index of the top-left token of window `x` in the d*d grid."""
-    if not 0 <= x < d * d:
+    """Flat token index of the top-left token of window `x` (an int or an int
+    array) in the d*d grid."""
+    x = np.asarray(x)
+    if x.size and (x.min() < 0 or x.max() >= d * d):
         raise TensorError(f"sparse index {x} out of range for {d}x{d} windows")
     return (x // d) * d * r * r + (x % d) * r
 
@@ -81,7 +82,7 @@ def build_mask_plan(d, r, mask_ratio, rng, mode="window"):
         return MaskPlan(
             d=d, r=r, mask_ratio=mask_ratio,
             keep_indices=inner.keep_indices, mask_flags=inner.mask_flags,
-            seed=inner.seed, mode="random",
+            mode="random",
         )
 
     n_windows = d * d
@@ -94,7 +95,7 @@ def build_mask_plan(d, r, mask_ratio, rng, mode="window"):
     sparse_shuffle = np.argsort(noise, kind="stable")  # index tie-break
     sparse_keep = sparse_shuffle[:n_keep]
 
-    tops = (sparse_keep // d) * d * r * r + (sparse_keep % d) * r
+    tops = expand_sparse_index(sparse_keep, d, r)
     keep = (tops[:, None] + window_member_offsets(d, r)[None, :]).reshape(-1)
     keep = np.sort(keep)
 
@@ -144,19 +145,14 @@ def kept_window_grid(g, plan):
             f"kept window count {n_kept} is not a perfect square; cannot "
             "re-assemble a token grid"
         )
-    offs = window_member_offsets(plan.d, plan.r)
-    # token order: for each output window row, for each in-window row, walk
-    # windows left-to-right -> row-major token order of the packed grid
-    order = []
-    for wr in range(side_w):
-        row_windows = kept_windows[wr * side_w:(wr + 1) * side_w]
-        for i in range(plan.r):
-            for wc in row_windows:
-                top = expand_sparse_index(int(wc), plan.d, plan.r)
-                order.extend(top + offs[i * plan.r:(i + 1) * plan.r])
-    order = np.asarray(order, dtype=np.int64)
+    r = plan.r
+    tops = expand_sparse_index(kept_windows, plan.d, r).reshape(side_w, side_w)
+    offs = window_member_offsets(plan.d, r).reshape(r, r)
+    # token order (window row, in-window row, window column, in-window
+    # column) is the row-major token order of the packed grid
+    order = (tops[:, None, :, None] + offs[None, :, None, :]).reshape(-1)
     x = T.transpose(g.data, (1, 0, 2))
     x = T.gather(x, order, axis=0)
     x = T.transpose(x, (1, 0, 2))
-    side = side_w * plan.r
+    side = side_w * r
     return TokenGrid(g.batch, side, side, g.dim, x)

@@ -45,8 +45,7 @@ class ModelSpec:
     image: PatchSpec
     encoder_variant: str = "III"  # I | II | III
     decoder_variant: str = "VIT"  # VIT | SWIN
-    decoder_embedding: bool = False
-    decoder_width: int = 0  # VIT decoder width when decoder_embedding is on
+    decoder_width: int = 0  # > 0 embeds the latent to this VIT decoder width
     decoder_depth: int = 2  # VIT decoder block count
     use_abs_pos_embed: bool = False
     embed_dim: int = 16
@@ -55,7 +54,6 @@ class ModelSpec:
     attn_window: int = 2
     mask_window_r: int = 2
     mask_ratio: float = 0.75
-    norm_pixel_targets: bool = False
 
     def __post_init__(self):
         if self.encoder_variant not in ("I", "II", "III"):
@@ -66,6 +64,8 @@ class ModelSpec:
             raise TensorError(
                 "encoder variant III has no absolute position embedding"
             )
+        if self.decoder_width < 0:
+            raise TensorError(f"decoder_width must be >= 0, got {self.decoder_width}")
         if len(self.stage_depths) != len(self.head_counts):
             raise TensorError("stage_depths and head_counts length mismatch")
         side = self.enc_input_side
@@ -232,8 +232,9 @@ def _heads_split(x, heads):
 def attention(xw, ps, prefix, heads, rel_index=None, mask=None):
     """Multi-head self-attention over [nB, T, C] sequences.
 
-    `rel_index` selects rows of the learned relative-bias table; `mask` is an
-    additive [nW, T, T] array tiled over the batch (-inf across regions).
+    `rel_index` selects rows of the learned relative-bias table; `mask` is a
+    constant additive [nW, T, T] array (-inf across regions) that the softmax
+    applies.
     """
     nb, t, c = xw.shape
     hd = c // heads
@@ -246,11 +247,7 @@ def attention(xw, ps, prefix, heads, rel_index=None, mask=None):
         bias = T.reshape(bias, (t, t, heads))
         bias = T.reshape(T.transpose(bias, (2, 0, 1)), (1, heads, t, t))
         attn = T.add(attn, bias)
-    if mask is not None:
-        n_win = mask.shape[0]
-        tiled = np.tile(mask, (nb // n_win, 1, 1))[:, None, :, :]
-        attn = T.add(attn, Tensor(tiled), allow_neg_inf=True)
-    a = T.softmax_lastdim(attn)
+    a = T.softmax_lastdim(attn, mask)
     out = T.transpose(T.matmul(a, v), (0, 2, 1, 3))
     out = T.reshape(out, (nb, t, c))
     return T.linear(out, ps[prefix + ".proj.w"], ps[prefix + ".proj.b"])
@@ -413,11 +410,7 @@ class SwinMae:
         spec, dtype = self.spec, self.dtype
         if spec.decoder_variant == "VIT":
             width = self.latent_dim
-            if spec.decoder_embedding:
-                if spec.decoder_width <= 0:
-                    raise TensorError(
-                        "decoder_embedding requires a positive decoder_width"
-                    )
+            if spec.decoder_width:
                 width = spec.decoder_width
                 _init_linear(self.params, "dec.embed", self.latent_dim, width, rng, dtype)
             heads = spec.head_counts[-1]
@@ -445,7 +438,7 @@ class SwinMae:
         ps, spec = self.params, self.spec
         if spec.decoder_variant == "VIT":
             x = latent.data
-            if spec.decoder_embedding:
+            if spec.decoder_width:
                 x = T.linear(x, ps["dec.embed.w"], ps["dec.embed.b"])
             g = TokenGrid(latent.batch, latent.h_tokens, latent.w_tokens, x.shape[-1], x)
             # one window over the whole grid: global attention, never shifted
@@ -469,10 +462,7 @@ class SwinMae:
         target = image
         if self.spec.encoder_variant == "II":
             target = upscale2x(image)
-        return masked_mse_loss(
-            recon, target, plan,
-            normalize_targets=self.spec.norm_pixel_targets,
-        )
+        return masked_mse_loss(recon, target, plan)
 
     def encoder_param_names(self):
         return [n for n in self.params.names() if n.startswith("enc.")]
@@ -502,7 +492,7 @@ def pixel_mask(plan, h, w):
     return np.kron(flags, np.ones((p, p)))
 
 
-def masked_mse_loss(recon, target, plan, normalize_targets=False):
+def masked_mse_loss(recon, target, plan):
     """Mean squared error over masked pixels only."""
     if recon.shape != target.shape:
         raise TensorError(
@@ -513,18 +503,6 @@ def masked_mse_loss(recon, target, plan, normalize_targets=False):
     n_masked = int(mask.sum())
     if n_masked == 0:
         raise TensorError("mask plan has zero masked pixels")
-    if normalize_targets:
-        target = _per_patch_normalize(target, plan, h)
     diff = T.mul(T.sub(recon, target), Tensor(mask[None, None]))
     return T.scale(T.sum_(T.square(diff)), 1.0 / (b * c * n_masked))
 
-
-def _per_patch_normalize(target, plan, h):
-    p = h // plan.side
-    flat = P.flatten_patches(target, p)
-    mu = T.mean(flat, axis=-1, keepdims=True)
-    xc = T.sub(flat, mu)
-    var = T.mean(T.square(xc), axis=-1, keepdims=True)
-    inv = T.reciprocal(T.sqrt(T.add(var, T.as_tensor(1e-6, like=target))))
-    b, c = target.shape[0], target.shape[1]
-    return P.unflatten_patches(T.mul(xc, inv), h, h, c, p)

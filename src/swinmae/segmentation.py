@@ -186,12 +186,12 @@ def augment_batch(images, labels, rng):
     return images, labels
 
 
-def evaluate_segmentation(model, images, labels, num_classes=None, warn=None):
+def evaluate_segmentation(model, images, labels, warn=None):
     """Per-image metrics averaged over the set; returns the report dict and
     the per-image confusion counts used to build it."""
     if images.shape[0] == 0:
         raise TensorError("empty evaluation set")
-    ncls = num_classes or model.spec.num_classes
+    ncls = model.spec.num_classes
     per_image = []
     dsc, mpa, miou, hds = [], [], [], []
     for i in range(images.shape[0]):

@@ -18,19 +18,12 @@ class TensorError(ValueError):
     pass
 
 
-def _check_finite(arr, op, allow_neg_inf=False):
+def _check_finite(arr, op):
     """One pass over `arr`; the message is worked out only after a failure."""
-    if allow_neg_inf:
-        # max propagates NaN, so one reduction catches both NaN and +inf
-        ok = arr.size == 0 or arr.max() < np.inf
-    else:
-        ok = np.isfinite(arr).all()
-    if ok:
+    if np.isfinite(arr).all():
         return
     if np.isnan(arr).any():
         raise TensorError(f"{op}: NaN in result")
-    if allow_neg_inf:
-        raise TensorError(f"{op}: +inf in result")
     raise TensorError(f"{op}: non-finite value in result")
 
 
@@ -109,8 +102,8 @@ def active_tape():
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
-def _record(op, inputs, out_data, backward_fn, allow_neg_inf=False):
-    _check_finite(out_data, op, allow_neg_inf=allow_neg_inf)
+def _record(op, inputs, out_data, backward_fn):
+    _check_finite(out_data, op)
     tape = active_tape()
     needs = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=needs)
@@ -130,6 +123,11 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
+def _grad(t, f):
+    """`f()` summed down to t's shape; None for an operand that needs none."""
+    return _unbroadcast(f(), t.shape) if t.requires_grad else None
+
+
 def as_tensor(x, like=None):
     if isinstance(x, Tensor):
         return x
@@ -140,14 +138,14 @@ def as_tensor(x, like=None):
 # ---------------------------------------------------------------- elementwise
 
 
-def add(a, b, allow_neg_inf=False):
+def add(a, b):
     a, b = as_tensor(a), as_tensor(b, like=a)
     out = a.data + b.data
 
     def bw(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _grad(a, lambda: g), _grad(b, lambda: g)
 
-    return _record("add", (a, b), out, bw, allow_neg_inf=allow_neg_inf)
+    return _record("add", (a, b), out, bw)
 
 
 def sub(a, b):
@@ -155,7 +153,7 @@ def sub(a, b):
     out = a.data - b.data
 
     def bw(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return _grad(a, lambda: g), _grad(b, lambda: -g)
 
     return _record("sub", (a, b), out, bw)
 
@@ -165,7 +163,7 @@ def mul(a, b):
     out = a.data * b.data
 
     def bw(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return _grad(a, lambda: g * b.data), _grad(b, lambda: g * a.data)
 
     return _record("mul", (a, b), out, bw)
 
@@ -304,15 +302,13 @@ def matmul(a, b):
 
     def bw(g):
         # an operand that needs no gradient (an input image) gets none
-        ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+        ga = _grad(a, lambda: g @ np.swapaxes(b.data, -1, -2))
         if b.requires_grad and b.data.ndim == 2 and a.data.ndim > 2:
             # one GEMM over the flattened batch; no [B, C, D] stack to sum
             c = a.shape[-1]
             gb = a.data.reshape(-1, c).T @ g.reshape(-1, b.shape[-1])
-        elif b.requires_grad:
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        else:
+            gb = _grad(b, lambda: np.swapaxes(a.data, -1, -2) @ g)
         return ga, gb
 
     return _record("matmul", (a, b), out, bw)
@@ -328,14 +324,24 @@ def linear(x, w, b=None):
 # ------------------------------------------------------------- fused kernels
 
 
-def softmax_lastdim(x):
-    """Stable softmax over the last dim; -inf entries map to exact 0."""
+def softmax_lastdim(x, mask=None):
+    """Stable softmax over the last dim; -inf entries map to exact 0.
+
+    `mask` is a constant additive [nW, T, T] array added to [nB, heads, T, T]
+    scores whose batch index runs over the nW windows fastest; it gets no
+    gradient.
+    """
     if x.shape[-1] < 1:
         raise TensorError("softmax: empty last dim")
-    m = np.max(x.data, axis=-1, keepdims=True)
+    s = x.data
+    if mask is not None:
+        nb, heads, t, _ = x.shape
+        nw = mask.shape[0]
+        s = (s.reshape(nb // nw, nw, heads, t, t) + mask[None, :, None]).reshape(x.shape)
+    m = np.max(s, axis=-1, keepdims=True)
     if np.isneginf(m).any():
         raise TensorError("softmax: row with all entries masked (-inf)")
-    z = x.data - m
+    z = s - m
     e = np.where(np.isneginf(z), 0.0, np.exp(z))
     out = e / e.sum(axis=-1, keepdims=True)
 
@@ -474,9 +480,6 @@ class ParamStore:
     def zero_grad(self):
         for _, p in self.items():
             p.zero_grad()
-
-    def state_arrays(self):
-        return {n: p.data for n, p in self.items()}
 
 
 # --------------------------------------------------------------- grad check

@@ -37,16 +37,13 @@ def cosine_lr(cfg):
 
 
 class Adam:
-    """Adam with optional decoupled weight decay (default off).
-
-    Updates iterate parameters in lexicographic name order, so two runs with
-    identical seeds produce bit-identical states.
+    """Adam. Updates iterate parameters in lexicographic name order, so two
+    runs with identical seeds produce bit-identical states.
     """
 
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
+    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = params
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.weight_decay = weight_decay
         self.step_count = 0
         self.m = {n: np.zeros_like(p.data) for n, p in params.items()}
         self.v = {n: np.zeros_like(p.data) for n, p in params.items()}
@@ -66,8 +63,6 @@ class Adam:
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
-            if self.weight_decay:
-                p.data -= lr * self.weight_decay * p.data
             p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
     def zero_grad(self):

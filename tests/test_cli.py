@@ -1,5 +1,10 @@
+import numpy as np
+import pytest
+
 from swinmae.cli import cli_main
+from swinmae.config import RunConfig
 from swinmae.data import load_image, scan_dataset
+from swinmae.tensor import TensorError
 from swinmae.training import load_checkpoint
 
 
@@ -128,6 +133,35 @@ def test_grad_check_exits_zero(capsys):
     assert cli_main(["grad-check", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert "max relative error" in out
+
+
+def test_decoder_embedding_is_not_a_config_key():
+    with pytest.raises(TensorError, match="unknown key 'decoder_embedding'"):
+        RunConfig(decoder_embedding=True)
+
+
+ABLATION_TAGS = [
+    "none", "none+pe", "encoder-I", "encoder-I+pe", "encoder-II", "encoder-II+pe",
+    "encoder-III", "decoder-vit", "decoder-swin", "decoder-swin+dw",
+    "decoder-swin+de", "masking-random", "masking-window",
+    "ratio-0.45", "ratio-0.6", "ratio-0.75", "ratio-0.9",
+]
+
+
+def test_ablate_writes_every_suite(tmp_path, capsys):
+    data_dir = gen(tmp_path, n_unlabeled=4, n_labeled=5)
+    out_dir = tmp_path / "ablate"
+    rc = cli_main([
+        "ablate", "--set", f"data_dir={data_dir}", "--set", f"out_dir={out_dir}",
+        "--set", "epochs=1", "--set", "batch_size=4", "--set", "augment=false",
+    ])
+    assert rc == 0
+    capsys.readouterr()
+    header, *rows = (out_dir / "ablation.csv").read_text().splitlines()
+    assert header == "experiment,dsc_pct,mpa_pct,miou_pct,hd"
+    rows = [row.split(",") for row in rows]
+    assert [row[0] for row in rows] == ABLATION_TAGS
+    assert all(np.isfinite(float(v)) for row in rows for v in row[1:4])
 
 
 def test_config_file_and_override(tmp_path, capsys):

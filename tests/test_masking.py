@@ -42,11 +42,14 @@ def test_expand_sparse_index_origin():
 def test_expand_sparse_index_examples():
     assert expand_sparse_index(3, 2, 2) == 10
     assert expand_sparse_index(5, 4, 2) == 18
+    assert expand_sparse_index(np.array([3, 0, 1]), 2, 2).tolist() == [10, 0, 2]
 
 
 def test_expand_sparse_index_out_of_range():
     with pytest.raises(TensorError, match="out of range"):
         expand_sparse_index(4, 2, 2)
+    with pytest.raises(TensorError, match="out of range"):
+        expand_sparse_index(np.array([0, 3, -1]), 2, 2)
 
 
 def test_expand_matches_coordinate_arithmetic():
@@ -189,3 +192,15 @@ def test_kept_window_grid_packs_row_major():
     out = kept_window_grid(g, plan)
     assert (out.h_tokens, out.w_tokens) == (2, 2)
     assert out.data.data[0, :, 0].tolist() == [2.0, 3.0, 6.0, 7.0]
+    # four kept windows of a 4x4 window grid pack into 2x2 windows, each
+    # window in place as 2-D coordinates locate it
+    plan = build_mask_plan(4, 2, 0.75, split_rng(0, 5))
+    g = grid_of(np.arange(64, dtype=np.float64).reshape(1, 64, 1))
+    out = kept_window_grid(g, plan).data.data[0, :, 0].reshape(4, 4)
+    tokens = np.arange(64.0).reshape(8, 8)
+    kept = [w for w in range(16) if not plan.mask_flags[expand_sparse_index(w, 4, 2)]]
+    assert len(kept) == 4
+    for k, win in enumerate(kept):
+        (wr, wc), (pr, pc) = divmod(win, 4), divmod(k, 2)
+        want = tokens[2 * wr:2 * wr + 2, 2 * wc:2 * wc + 2]
+        assert np.array_equal(out[2 * pr:2 * pr + 2, 2 * pc:2 * pc + 2], want)

@@ -283,15 +283,38 @@ def tiny_model():
 
 
 def test_desk_loss_tape_node_count():
-    """LayerNorm and GELU are one tape node each: 18 LN + 7 GELU calls."""
-    spec = desk_spec()
-    model = SwinMae(spec, seed=0)
+    """LayerNorm and GELU are one tape node each: 18 LN + 7 GELU calls at
+    depth 1. At depth 2 the shift mask is applied inside the softmax, so a
+    shifted block records no node for it."""
+    for depths, nodes in (((1, 1, 1, 1), 336), ((2, 2, 2, 2), 647)):
+        spec = desk_spec(stage_depths=depths)
+        model = SwinMae(spec, seed=0)
+        plan = build_mask_plan(
+            spec.mask_grid_d, spec.mask_window_r, spec.mask_ratio, split_rng(0, 1)
+        )
+        with Tape() as tape:
+            model.loss(Tensor(split_rng(0, 2).random((2, 3, 32, 32))), plan)
+        assert len(tape.nodes) == nodes, depths
+
+
+@pytest.mark.parametrize("width", [0, 24])
+def test_decoder_width_turns_on_the_embedding(width):
+    model = SwinMae(desk_spec(decoder_variant="VIT", decoder_width=width), seed=0)
+    if width:
+        assert model.params["dec.embed.w"].shape == (model.latent_dim, width)
+        assert model.params["dec.norm.g"].shape == (width,)
+    else:
+        assert "dec.embed.w" not in model.params
+    spec = model.spec
     plan = build_mask_plan(
         spec.mask_grid_d, spec.mask_window_r, spec.mask_ratio, split_rng(0, 1)
     )
-    with Tape() as tape:
-        model.loss(Tensor(split_rng(0, 2).random((2, 3, 32, 32))), plan)
-    assert len(tape.nodes) == 336
+    assert np.isfinite(model.loss(Tensor(split_rng(0, 2).random((1, 3, 32, 32))), plan).item())
+
+
+def test_negative_decoder_width_rejected():
+    with pytest.raises(TensorError, match="decoder_width"):
+        desk_spec(decoder_variant="VIT", decoder_width=-1)
 
 
 def test_variant_i_pos_embed_reaches_loss():

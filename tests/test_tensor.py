@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import swinmae.tensor as T
+from swinmae.patches import shift_attention_mask
 from swinmae.tensor import ParamStore, Tape, Tensor, TensorError
 
 
@@ -52,6 +53,27 @@ def test_matmul_backward_skips_operand_without_grad(const):
     else:
         assert gb is None
         np.testing.assert_array_equal(ga, g @ b.data.T)
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul"])
+@pytest.mark.parametrize("const", ["a", "b"])
+def test_elementwise_backward_skips_operand_without_grad(op, const):
+    rng = np.random.default_rng(3)
+    a = Tensor(rng.standard_normal((2, 3)), requires_grad=const != "a")
+    b = Tensor(rng.standard_normal((1, 3)), requires_grad=const != "b")
+    with Tape() as tape:
+        getattr(T, op)(a, b)
+    g = rng.standard_normal((2, 3))
+    ga, gb = tape.nodes[0].backward_fn(g)
+    want_a, want_b = {
+        "add": (g, g), "sub": (g, -g), "mul": (g * b.data, g * a.data),
+    }[op]
+    if const == "a":
+        assert ga is None
+        np.testing.assert_array_equal(gb, want_b.sum(axis=0, keepdims=True))
+    else:
+        assert gb is None
+        np.testing.assert_array_equal(ga, want_a)
 
 
 def test_matmul_shape_error():
@@ -198,6 +220,9 @@ def test_grad_check_softmax_dot():
         ("roll", lambda x: T.sum_(T.square(T.roll(x, (1,), (0,))))),
         ("mean", lambda x: T.sum_(T.square(T.mean(x, axis=-1)))),
         ("cross_entropy", lambda x: T.softmax_cross_entropy(x, np.array([1, 3, 0]))),
+        ("masked_softmax", lambda x: T.sum_(T.square(T.softmax_lastdim(
+            T.reshape(x, (3, 1, 2, 2)), np.array([[[0.0, -np.inf], [0.0, 0.0]]]),
+        )))),
     ],
 )
 def test_per_op_grad_check(name, f):
@@ -255,13 +280,22 @@ def test_fused_ops_record_one_node(op, f):
 # ------------------------------------------------------------ finite checks
 
 
-def test_finite_check_allow_neg_inf():
-    out = T.add(Tensor([-np.inf, 1.0]), Tensor([0.0, 0.0]), allow_neg_inf=True)
-    assert out.data.tolist() == [-np.inf, 1.0]
-    with pytest.raises(TensorError, match=r"add: \+inf"):
-        T.add(Tensor([-np.inf, np.inf]), Tensor([0.0, 0.0]), allow_neg_inf=True)
-    with pytest.raises(TensorError, match="add: NaN"):
-        T.add(Tensor([-np.inf, np.nan]), Tensor([0.0, 0.0]), allow_neg_inf=True)
+def test_masked_softmax_matches_tiled_reference():
+    """The shift mask applied inside the softmax equals tiling it over the
+    batch, adding it and taking a plain softmax; it records one node."""
+    mask = shift_attention_mask(4, 4, 2, 1)  # 4 windows of 2x2 tokens
+    x = Tensor(np.random.default_rng(11).standard_normal((2 * 4, 3, 4, 4)), requires_grad=True)
+    with Tape() as tape:
+        got = T.softmax_lastdim(x, mask).data
+    assert [(n.op, len(n.inputs)) for n in tape.nodes] == [("softmax", 1)]
+    tiled = np.tile(mask, (2, 1, 1))[:, None]
+    np.testing.assert_array_equal(got, T.softmax_lastdim(Tensor(x.data + tiled)).data)
+    masked = np.broadcast_to(np.isneginf(tiled), got.shape)
+    assert masked.any() and (got[masked] == 0.0).all()
+    row_masked = np.zeros((1, 2, 2))
+    row_masked[0, 1] = -np.inf
+    with pytest.raises(TensorError, match="all entries masked"):
+        T.softmax_lastdim(Tensor(np.zeros((2, 1, 2, 2))), row_masked)
 
 
 def test_finite_check_neg_inf_elsewhere():

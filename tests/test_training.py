@@ -77,7 +77,7 @@ def test_adam_matches_reference_oracle():
         arr = rng.standard_normal((3, 2))
         init[name] = arr.copy()
         ps.add(name, Tensor(arr.copy()))
-    opt = Adam(ps, weight_decay=0.0)
+    opt = Adam(ps)
     grads_per_step = []
     for _ in range(7):
         grads = {n: rng.standard_normal((3, 2)) for n in init}
