@@ -181,7 +181,7 @@ def cmd_grad_check(args):
         image=PatchSpec(16, 16, 3, patch_side=2),
         embed_dim=8, decoder_variant="SWIN",
     )
-    model = SwinMae(spec, seed=args.seed)
+    model = SwinMae(spec, seed=args.seed, dtype=np.float64)
     rng = split_rng(args.seed, 3)
     image = rng.random((1, 3, 16, 16))
     plan = build_mask_plan(

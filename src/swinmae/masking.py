@@ -39,10 +39,6 @@ class MaskPlan:
     def n_tokens(self):
         return self.side * self.side
 
-    @property
-    def masked_indices(self):
-        return np.flatnonzero(self.mask_flags)
-
     def validate(self):
         n = self.n_tokens
         if self.mask_flags.shape != (n,):

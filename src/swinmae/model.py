@@ -66,6 +66,8 @@ class ModelSpec:
             )
         if self.decoder_width < 0:
             raise TensorError(f"decoder_width must be >= 0, got {self.decoder_width}")
+        if self.decoder_width and self.decoder_variant == "SWIN":
+            raise TensorError("decoder_width applies only to the VIT decoder")
         if len(self.stage_depths) != len(self.head_counts):
             raise TensorError("stage_depths and head_counts length mismatch")
         side = self.enc_input_side
@@ -374,7 +376,7 @@ def upscale2x(image):
 class SwinMae:
     """Pretraining model: encoder + reconstruction decoder + masked loss."""
 
-    def __init__(self, spec, seed=0, dtype=np.float64):
+    def __init__(self, spec, seed=0, dtype=np.float32):
         self.spec = spec
         self.dtype = np.dtype(dtype)
         self.params = ParamStore()
@@ -453,7 +455,7 @@ class SwinMae:
         return self.decode(latent)
 
     def reconstruct(self, image, plan):
-        tokens = self.forward(image, plan)
+        tokens = self.forward(Tensor(image.data, dtype=self.dtype), plan)
         return reconstruct_image(tokens, self.recon_spec)
 
     def loss(self, image, plan):

@@ -57,7 +57,7 @@ class SwinUnet:
     """Encoder + bottleneck shared with the pretraining model (same parameter
     names), expanding decoder with skip connections, per-pixel class head."""
 
-    def __init__(self, spec, seed=0, dtype=np.float64):
+    def __init__(self, spec, seed=0, dtype=np.float32):
         self.spec = spec
         self.dtype = np.dtype(dtype)
         self.params = ParamStore()
@@ -117,7 +117,7 @@ class TransferReport:
     missing: list = field(default_factory=list)
 
 
-def build_swin_unet_from_checkpoint(tensors, spec, seed=0, dtype=np.float64):
+def build_swin_unet_from_checkpoint(tensors, spec, seed=0, dtype=np.float32):
     """Assemble the segmentation model, loading encoder+bottleneck weights by
     name/shape from a pretraining checkpoint's tensor dict (or None for
     random init). Decoder attention blocks mirror the encoder-stage weights
@@ -188,15 +188,15 @@ def augment_batch(images, labels, rng):
 
 def evaluate_segmentation(model, images, labels, warn=None):
     """Per-image metrics averaged over the set; returns the report dict and
-    the per-image confusion counts used to build it."""
+    the per-image confusion counts used to build it. The whole set goes
+    through one batched forward pass."""
     if images.shape[0] == 0:
         raise TensorError("empty evaluation set")
     ncls = model.spec.num_classes
     per_image = []
     dsc, mpa, miou, hds = [], [], [], []
-    for i in range(images.shape[0]):
-        pred = model.predict(images[i:i + 1])[0]
-        gt = labels[i]
+    preds = model.predict(images)
+    for pred, gt in zip(preds, labels):
         counts = {
             c: M.confusion_counts(pred, gt, c, ncls) for c in range(ncls)
         }

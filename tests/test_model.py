@@ -133,7 +133,7 @@ def test_variant3_masked_positions_carry_one_vector():
     img = Tensor(np.random.default_rng(1).random((1, 3, 32, 32)))
     g = patch_partition(img, spec.image, model.params["enc.embed.w"], model.params["enc.embed.b"])
     masked = apply_mask_tokens(g, plan, model.params["mask_token"])
-    for idx in plan.masked_indices:
+    for idx in np.flatnonzero(plan.mask_flags):
         assert np.array_equal(masked.data.data[0, idx], model.params["mask_token"].data)
 
 
@@ -315,6 +315,41 @@ def test_decoder_width_turns_on_the_embedding(width):
 def test_negative_decoder_width_rejected():
     with pytest.raises(TensorError, match="decoder_width"):
         desk_spec(decoder_variant="VIT", decoder_width=-1)
+
+
+def test_decoder_width_rejected_with_swin_decoder():
+    with pytest.raises(TensorError, match="decoder_width"):
+        desk_spec(decoder_variant="SWIN", decoder_width=64)
+
+
+def test_swin_mae_defaults_to_f32_and_its_loss_tape_stays_f32():
+    """No f64 constant may promote the training hot path."""
+    spec = desk_spec()
+    model = SwinMae(spec, seed=0)
+    assert model.dtype == np.float32
+    assert {p.dtype for _, p in model.params.items()} == {np.dtype(np.float32)}
+    plan = build_mask_plan(
+        spec.mask_grid_d, spec.mask_window_r, spec.mask_ratio, split_rng(0, 1)
+    )
+    image = split_rng(0, 2).random((16, 3, 32, 32)).astype(np.float32)
+    with Tape() as tape:
+        loss = model.loss(Tensor(image), plan)
+    assert {n.output.dtype for n in tape.nodes} == {np.dtype(np.float32)}
+    T.backward(loss, tape)
+    assert {p.grad.dtype for _, p in model.params.items()} == {np.dtype(np.float32)}
+
+
+def test_reconstruct_casts_input_to_model_dtype():
+    spec = desk_spec()
+    model = SwinMae(spec, seed=0)
+    plan = build_mask_plan(
+        spec.mask_grid_d, spec.mask_window_r, spec.mask_ratio, split_rng(0, 1)
+    )
+    image = split_rng(0, 2).random((2, 3, 32, 32))
+    recon = model.reconstruct(Tensor(image), plan)
+    assert recon.dtype == np.float32
+    cast = model.reconstruct(Tensor(image.astype(np.float32)), plan)
+    assert np.array_equal(recon.data, cast.data)
 
 
 def test_variant_i_pos_embed_reaches_loss():

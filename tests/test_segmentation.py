@@ -138,6 +138,27 @@ def test_decoder_weight_mirroring_bit_equal():
     assert all(not n.startswith("up.") for n in report2.loaded)
 
 
+def test_swin_unet_defaults_to_f32_and_its_loss_tape_stays_f32():
+    model = SwinUnet(unet_spec(), seed=0)
+    assert model.dtype == np.float32
+    labels = np.random.default_rng(0).integers(0, 3, size=(2, 32, 32))
+    with T.Tape() as tape:
+        model.loss(Tensor(rand_images(2), dtype=np.float32), labels)
+    assert {n.output.dtype for n in tape.nodes} == {np.dtype(np.float32)}
+
+
+def test_f64_checkpoint_transfers_into_f32_unet():
+    mae = SwinMae(desk_spec(), seed=5, dtype=np.float64)
+    tensors = {n: p.data.copy() for n, p in mae.params.items()}
+    model, report = build_swin_unet_from_checkpoint(tensors, unet_spec(), seed=0)
+    assert report.loaded and not report.missing
+    assert {p.dtype for _, p in model.params.items()} == {np.dtype(np.float32)}
+    for n in report.loaded:
+        np.testing.assert_array_equal(
+            model.params[n].data, tensors[n].astype(np.float32)
+        )
+
+
 # ----------------------------------------------------- augmentation and eval
 
 
@@ -171,6 +192,27 @@ def test_evaluate_perfect_prediction_scores_100():
     assert report["mpa_pct"] == pytest.approx(100.0)
     assert report["miou_pct"] == pytest.approx(100.0)
     assert len(per_image) == 2
+
+
+class PerImagePredict:
+    """The same model, predicting one image per forward pass."""
+
+    def __init__(self, model):
+        self.model, self.spec = model, model.spec
+
+    def predict(self, images):
+        return np.stack([self.model.predict(img[None])[0] for img in images])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_batched_evaluation_matches_per_image_loop(dtype):
+    model = SwinUnet(unet_spec(), seed=2, dtype=dtype)
+    imgs = rand_images(6, seed=5)
+    labels = np.random.default_rng(6).integers(0, 3, size=(6, 32, 32))
+    report, per_image = evaluate_segmentation(model, imgs, labels)
+    ref_report, ref_per_image = evaluate_segmentation(PerImagePredict(model), imgs, labels)
+    assert report == ref_report
+    assert per_image == ref_per_image
 
 
 def test_evaluate_rejects_empty_set():
