@@ -245,7 +245,7 @@ def cmd_ablate(args):
             finetune(f"encoder-{variant}+pe", ckpt, use_abs_pos_embed=True)
     for tag, kw in (
         ("decoder-vit", dict(decoder_variant="VIT")),
-        ("decoder-swin", dict(decoder_variant="SWIN")),
+        ("decoder-swin", dict(decoder_variant="SWIN", decoder_width=0)),
         ("decoder-swin+de", dict(decoder_variant="VIT", decoder_width=cfg.embed_dim * 4)),
     ):
         ckpt = pretrain(tag, **kw)

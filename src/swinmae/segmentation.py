@@ -20,6 +20,11 @@ from .model import (
 from .training import Adam, ScheduleConfig, cosine_lr, CheckpointError, save_checkpoint
 from . import metrics as M
 
+# Images per forward pass in evaluate_segmentation. A 224² full-scale
+# Swin-Unet needs about 43 MB per image, so this bounds evaluation at about
+# 0.7 GB above the model, whatever the size of the test split.
+EVAL_BATCH = 16
+
 
 @dataclass
 class SwinUnetSpec:
@@ -188,14 +193,17 @@ def augment_batch(images, labels, rng):
 
 def evaluate_segmentation(model, images, labels, warn=None):
     """Per-image metrics averaged over the set; returns the report dict and
-    the per-image confusion counts used to build it. The whole set goes
-    through one batched forward pass."""
+    the per-image confusion counts used to build it. Predictions are made
+    EVAL_BATCH images per forward pass."""
     if images.shape[0] == 0:
         raise TensorError("empty evaluation set")
     ncls = model.spec.num_classes
     per_image = []
     dsc, mpa, miou, hds = [], [], [], []
-    preds = model.predict(images)
+    preds = np.concatenate([
+        model.predict(images[i:i + EVAL_BATCH])
+        for i in range(0, images.shape[0], EVAL_BATCH)
+    ])
     for pred, gt in zip(preds, labels):
         counts = {
             c: M.confusion_counts(pred, gt, c, ncls) for c in range(ncls)

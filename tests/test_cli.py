@@ -148,20 +148,25 @@ ABLATION_TAGS = [
 ]
 
 
-def test_ablate_writes_every_suite(tmp_path, capsys):
+def run_ablate(tmp_path, *sets):
     data_dir = gen(tmp_path, n_unlabeled=4, n_labeled=5)
     out_dir = tmp_path / "ablate"
-    rc = cli_main([
-        "ablate", "--set", f"data_dir={data_dir}", "--set", f"out_dir={out_dir}",
-        "--set", "epochs=1", "--set", "batch_size=4", "--set", "augment=false",
-    ])
-    assert rc == 0
-    capsys.readouterr()
+    sets = [f"data_dir={data_dir}", f"out_dir={out_dir}", "epochs=1",
+            "batch_size=4", "augment=false", *sets]
+    assert cli_main(["ablate", *(a for kv in sets for a in ("--set", kv))]) == 0
     header, *rows = (out_dir / "ablation.csv").read_text().splitlines()
     assert header == "experiment,dsc_pct,mpa_pct,miou_pct,hd"
     rows = [row.split(",") for row in rows]
     assert [row[0] for row in rows] == ABLATION_TAGS
     assert all(np.isfinite(float(v)) for row in rows for v in row[1:4])
+
+
+def test_ablate_writes_every_suite(tmp_path, capsys):
+    run_ablate(tmp_path)
+
+
+def test_ablate_drops_vit_decoder_width_for_swin_row(tmp_path, capsys):
+    run_ablate(tmp_path, "decoder_variant=VIT", "decoder_width=32")
 
 
 def test_config_file_and_override(tmp_path, capsys):

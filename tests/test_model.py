@@ -274,12 +274,12 @@ def test_loss_gradient_bit_zero_at_visible_pixels():
         assert np.any(recon.grad[:, :, ~visible] != 0.0)
 
 
-def tiny_model():
+def tiny_model(dtype=np.float32):
     spec = desk_spec(
         image=PatchSpec(16, 16, 3, patch_side=2), embed_dim=8,
         decoder_variant="SWIN",
     )
-    return SwinMae(spec, seed=0), spec
+    return SwinMae(spec, seed=0, dtype=dtype), spec
 
 
 def test_desk_loss_tape_node_count():
@@ -400,7 +400,7 @@ def test_end_to_end_grad_check_small():
 
 
 def test_parameter_grad_check_sample():
-    model, spec = tiny_model()
+    model, spec = tiny_model(np.float64)
     plan = build_mask_plan(
         spec.mask_grid_d, spec.mask_window_r, spec.mask_ratio, split_rng(0, 5)
     )

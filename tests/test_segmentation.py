@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import swinmae.tensor as T
+from swinmae import segmentation
 from swinmae.tensor import Tensor, TensorError
 from swinmae.patches import PatchSpec
 from swinmae.model import SwinMae, desk_spec
@@ -205,11 +206,15 @@ class PerImagePredict:
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_batched_evaluation_matches_per_image_loop(dtype):
+def test_batched_evaluation_matches_per_image_loop(dtype, monkeypatch):
+    monkeypatch.setattr(segmentation, "EVAL_BATCH", 4)  # slices of 4 and 2
     model = SwinUnet(unet_spec(), seed=2, dtype=dtype)
     imgs = rand_images(6, seed=5)
     labels = np.random.default_rng(6).integers(0, 3, size=(6, 32, 32))
+    sizes, predict = [], model.predict
+    monkeypatch.setattr(model, "predict", lambda x: sizes.append(len(x)) or predict(x))
     report, per_image = evaluate_segmentation(model, imgs, labels)
+    assert sizes == [4, 2]
     ref_report, ref_per_image = evaluate_segmentation(PerImagePredict(model), imgs, labels)
     assert report == ref_report
     assert per_image == ref_per_image
