@@ -204,25 +204,37 @@ def cmd_ablate(args):
     images, labels = D.load_labeled(manifest.labeled)
     tr, te = manifest.train, manifest.test
     rows = []
+    # rows that repeat a configuration reuse its run: pretrainings are keyed
+    # by resolved spec and mask mode, fine-tunings by that key and their spec
+    pretrained = {None: None}
+    reports = {}
 
-    def pretrain(tag, **spec_kw):
+    def pretrain(**spec_kw):
         mode = spec_kw.pop("mask_mode", "window")
-        model = SwinMae(_model_spec(cfg, **spec_kw), seed=cfg.seed)
-        run_pretraining(
-            model, unlabeled, cfg.epochs, cfg.lr_max, cfg.batch_size, cfg.seed,
-            mask_mode=mode,
-        )
-        return {n: p.data.copy() for n, p in model.params.items()}
+        spec = _model_spec(cfg, **spec_kw)
+        key = (repr(spec), mode)
+        if key not in pretrained:
+            model = SwinMae(spec, seed=cfg.seed)
+            run_pretraining(
+                model, unlabeled, cfg.epochs, cfg.lr_max, cfg.batch_size, cfg.seed,
+                mask_mode=mode,
+            )
+            pretrained[key] = {n: p.data.copy() for n, p in model.params.items()}
+        return key
 
-    def finetune(tag, tensors, **unet_kw):
-        model, _ = build_swin_unet_from_checkpoint(
-            tensors, _unet_spec(cfg, **unet_kw), seed=cfg.seed
-        )
-        history, best = run_finetune(
-            model, images[tr], labels[tr], images[te], labels[te],
-            cfg.epochs, cfg.lr_max, cfg.batch_size, cfg.seed, augment=cfg.augment,
-        )
-        rep = history[best]
+    def finetune(tag, key, **unet_kw):
+        spec = _unet_spec(cfg, **unet_kw)
+        run_key = (key, repr(spec))
+        if run_key not in reports:
+            model, _ = build_swin_unet_from_checkpoint(
+                pretrained[key], spec, seed=cfg.seed
+            )
+            history, best = run_finetune(
+                model, images[tr], labels[tr], images[te], labels[te],
+                cfg.epochs, cfg.lr_max, cfg.batch_size, cfg.seed, augment=cfg.augment,
+            )
+            reports[run_key] = history[best]
+        rep = reports[run_key]
         rows.append((tag, rep))
         _log(
             f"{tag}: dsc {rep['dsc_pct']:.2f} mpa {rep['mpa_pct']:.2f} "
@@ -234,7 +246,7 @@ def cmd_ablate(args):
     for variant in ("I", "II", "III"):
         try:
             ckpt = pretrain(
-                f"encoder-{variant}", encoder_variant=variant,
+                encoder_variant=variant,
                 use_abs_pos_embed=(variant != "III"), decoder_variant="VIT",
             )
         except TensorError as exc:
@@ -248,16 +260,16 @@ def cmd_ablate(args):
         ("decoder-swin", dict(decoder_variant="SWIN", decoder_width=0)),
         ("decoder-swin+de", dict(decoder_variant="VIT", decoder_width=cfg.embed_dim * 4)),
     ):
-        ckpt = pretrain(tag, **kw)
+        ckpt = pretrain(**kw)
         finetune(tag, ckpt)
         if tag == "decoder-swin":
             finetune("decoder-swin+dw", ckpt, transfer_decoder_weights=True)
     for mode in ("random", "window"):
-        ckpt = pretrain(f"masking-{mode}", mask_mode=mode)
+        ckpt = pretrain(mask_mode=mode)
         finetune(f"masking-{mode}", ckpt)
     for ratio in (0.45, 0.6, 0.75, 0.9):
         try:
-            ckpt = pretrain(f"ratio-{ratio}", mask_ratio=ratio)
+            ckpt = pretrain(mask_ratio=ratio)
         except TensorError as exc:
             _log(f"ratio-{ratio}: skipped ({exc})")
             continue

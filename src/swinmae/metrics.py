@@ -1,6 +1,6 @@
 """Segmentation metrics: per-class confusion counts, Dice / pixel accuracy /
 IoU (one-vs-rest, macro-averaged over foreground classes), and the exact
-symmetric Hausdorff distance between pixel sets.
+symmetric Hausdorff distance between point sets and between label maps.
 """
 
 from __future__ import annotations
@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .tensor import TensorError
 
@@ -74,6 +73,14 @@ def area_metrics(counts_per_class):
     }
 
 
+def cdist(a, b):
+    """Euclidean distances between the rows of `a` and of `b`; scipy.spatial
+    is imported on first use, not by every command that imports this module."""
+    from scipy.spatial.distance import cdist as pairwise
+
+    return pairwise(a, b)
+
+
 def directed_hausdorff(a, b):
     """max over a of min over b of Euclidean distance."""
     d = cdist(a, b)
@@ -93,17 +100,23 @@ def hausdorff_per_class(pred, gt, num_classes, warn=None):
     """Mean Hausdorff over foreground classes present in both maps.
 
     Classes present on only one side are excluded with a warning; returns
-    None when no class is comparable.
+    None when no class is comparable. Exact on the pixel grid: the Euclidean
+    distance transform of one map's complement gives every pixel's distance
+    to that map's nearest class pixel.
     """
+    from scipy import ndimage
+
     values = []
     for c in range(1, num_classes):
-        pa = np.argwhere(pred == c)
-        ga = np.argwhere(gt == c)
-        if len(pa) == 0 and len(ga) == 0:
+        p, g = pred == c, gt == c
+        if not p.any() and not g.any():
             continue
-        if len(pa) == 0 or len(ga) == 0:
+        if not p.any() or not g.any():
             if warn:
                 warn(f"hausdorff undefined for class {c}: one side empty")
             continue
-        values.append(hausdorff(pa, ga))
+        values.append(max(
+            float(ndimage.distance_transform_edt(~g)[p].max()),
+            float(ndimage.distance_transform_edt(~p)[g].max()),
+        ))
     return float(np.mean(values)) if values else None

@@ -291,7 +291,8 @@ def mean(a, axis=None, keepdims=False):
 # ------------------------------------------------------------------- matmul
 
 
-def matmul(a, b):
+def matmul(a, b, bias=None):
+    """a @ b, plus `bias` added in place on the fresh product: one tape node."""
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise TensorError("matmul: operands must have rank >= 2")
     if a.shape[-1] != b.shape[-2]:
@@ -299,6 +300,8 @@ def matmul(a, b):
             f"matmul: inner dims mismatch {a.shape} @ {b.shape}"
         )
     out = a.data @ b.data
+    if bias is not None:
+        out += bias.data
 
     def bw(g):
         # an operand that needs no gradient (an input image) gets none
@@ -309,16 +312,16 @@ def matmul(a, b):
             gb = a.data.reshape(-1, c).T @ g.reshape(-1, b.shape[-1])
         else:
             gb = _grad(b, lambda: np.swapaxes(a.data, -1, -2) @ g)
-        return ga, gb
+        if bias is None:
+            return ga, gb
+        return ga, gb, _grad(bias, lambda: g)
 
-    return _record("matmul", (a, b), out, bw)
+    inputs = (a, b) if bias is None else (a, b, bias)
+    return _record("matmul", inputs, out, bw)
 
 
 def linear(x, w, b=None):
-    y = matmul(x, w)
-    if b is not None:
-        y = add(y, b)
-    return y
+    return matmul(x, w, b)
 
 
 # ------------------------------------------------------------- fused kernels
@@ -358,15 +361,17 @@ def layer_norm(x, gamma, beta, eps=1e-6):
         raise TensorError("layer_norm: eps must be > 0")
     gamma, beta = as_tensor(gamma, like=x), as_tensor(beta, like=x)
     inv_n = 1.0 / x.shape[-1]
-    xc = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+    mu = x.data.sum(axis=-1, keepdims=True) * inv_n
+    xc = x.data - mu
     var = (xc * xc).sum(axis=-1, keepdims=True) * inv_n
     # an overflowing or NaN variance would otherwise vanish into inv = 0
     _check_finite(var, "layer_norm")
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gamma.data + beta.data
+    out = xc * inv * gamma.data + beta.data
 
     def bw(g):
+        # only the per-row mu and inv are kept; xhat is recomputed from x
+        xhat = (x.data - mu) * inv
         gx = g * gamma.data
         gx = inv * (
             gx
@@ -382,15 +387,20 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
+def _gelu_tanh(x, cube):
+    return np.tanh((x + cube * _GELU_A) * _GELU_C)
+
+
 def gelu(x):
     """tanh-approximation GELU."""
     cube = x.data * x.data * x.data
     # the cubic term overflows long before the output does
     _check_finite(cube, "gelu")
-    t = np.tanh((x.data + cube * _GELU_A) * _GELU_C)
-    out = x.data * 0.5 * (t + 1.0)
+    out = x.data * 0.5 * (_gelu_tanh(x.data, cube) + 1.0)
 
     def bw(g):
+        # nothing full-size is kept; tanh is recomputed from x
+        t = _gelu_tanh(x.data, x.data * x.data * x.data)
         dt = (1.0 - t * t) * (_GELU_C * (1.0 + 3.0 * _GELU_A * (x.data * x.data)))
         return (g * (0.5 * (t + 1.0) + 0.5 * x.data * dt),)
 
@@ -445,7 +455,10 @@ def backward(loss, tape):
                     leaf[key] = (t, leaf[key][1] + gi)
                 else:
                     leaf[key] = (t, gi)
-    for t, g in leaf.values():
+    # hand each gradient over and drop it before the next, so at most one
+    # parameter's gradient exists twice
+    for key in list(leaf):
+        t, g = leaf.pop(key)
         t.accumulate_grad(g)
 
 

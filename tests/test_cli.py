@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from swinmae import cli
 from swinmae.cli import cli_main
 from swinmae.config import RunConfig
 from swinmae.data import load_image, scan_dataset
@@ -167,6 +168,21 @@ def test_ablate_writes_every_suite(tmp_path, capsys):
 
 def test_ablate_drops_vit_decoder_width_for_swin_row(tmp_path, capsys):
     run_ablate(tmp_path, "decoder_variant=VIT", "decoder_width=32")
+
+
+def test_ablate_pretrains_each_distinct_configuration_once(tmp_path, capsys, monkeypatch):
+    """encoder-III is decoder-vit's spec, and decoder-swin, masking-window
+    and ratio-0.75 share the default one: 12 pretraining rows, 9 runs."""
+    calls = []
+    real = cli.run_pretraining
+
+    def counted(*args, **kw):
+        calls.append(kw["mask_mode"])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(cli, "run_pretraining", counted)
+    run_ablate(tmp_path)
+    assert sorted(calls) == ["random"] + ["window"] * 8
 
 
 def test_config_file_and_override(tmp_path, capsys):

@@ -167,3 +167,26 @@ def test_hausdorff_per_class_none_when_no_overlap():
     gt[1, 1] = 1
     assert hausdorff_per_class(pred, gt, num_classes=2) is None
     assert hausdorff_per_class(pred, pred, num_classes=2) is None
+
+
+@pytest.mark.parametrize("side", [16, 40, 64])
+def test_hausdorff_per_class_equals_point_set_mean(side):
+    """The distance-transform form equals (==) the mean of point-set
+    Hausdorff distances over the classes present in both maps."""
+    rng = np.random.default_rng(side)
+    for k in range(6):
+        if k % 2:
+            gt = rng.integers(0, 4, (side, side))
+        else:
+            gt = np.zeros((side, side), dtype=int)
+            gt[side // 4:side // 2, side // 5:] = 1
+            gt[side // 2:, :side // 3] = 3
+        pred = gt.copy()
+        noise = rng.random(gt.shape) < 0.1 * k
+        pred[noise] = rng.integers(0, 4, int(noise.sum()))
+        want = [
+            hausdorff(np.argwhere(pred == c), np.argwhere(gt == c))
+            for c in range(1, 4) if (pred == c).any() and (gt == c).any()
+        ]
+        got = hausdorff_per_class(pred, gt, num_classes=4, warn=lambda msg: None)
+        assert got == float(np.mean(want)), (side, k)

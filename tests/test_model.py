@@ -283,10 +283,11 @@ def tiny_model(dtype=np.float32):
 
 
 def test_desk_loss_tape_node_count():
-    """LayerNorm and GELU are one tape node each: 18 LN + 7 GELU calls at
-    depth 1. At depth 2 the shift mask is applied inside the softmax, so a
-    shifted block records no node for it."""
-    for depths, nodes in (((1, 1, 1, 1), 336), ((2, 2, 2, 2), 647)):
+    """LayerNorm, GELU and each linear layer (matmul with its bias) are one
+    tape node each: 18 LN + 7 GELU calls at depth 1. At depth 2 the shift
+    mask is applied inside the softmax, so a shifted block records no node
+    for it. A B=16 f32 desk loss keeps 10804776 bytes of node outputs."""
+    for depths, nodes in (((1, 1, 1, 1), 286), ((2, 2, 2, 2), 555)):
         spec = desk_spec(stage_depths=depths)
         model = SwinMae(spec, seed=0)
         plan = build_mask_plan(
@@ -295,6 +296,15 @@ def test_desk_loss_tape_node_count():
         with Tape() as tape:
             model.loss(Tensor(split_rng(0, 2).random((2, 3, 32, 32))), plan)
         assert len(tape.nodes) == nodes, depths
+    spec = desk_spec()
+    model = SwinMae(spec, seed=0)
+    plan = build_mask_plan(
+        spec.mask_grid_d, spec.mask_window_r, spec.mask_ratio, split_rng(0, 1)
+    )
+    image = Tensor(split_rng(0, 2).random((16, 3, 32, 32)), dtype=np.float32)
+    with Tape() as tape:
+        model.loss(image, plan)
+    assert sum(n.output.data.nbytes for n in tape.nodes) == 10804776
 
 
 @pytest.mark.parametrize("width", [0, 24])

@@ -271,10 +271,57 @@ def test_gelu_grad_check_wide_range():
     ],
 )
 def test_fused_ops_record_one_node(op, f):
+    """Backward recomputes xhat / tanh from x, which the tape already holds,
+    so its closure keeps no array as large as the input."""
     x = Tensor(np.random.default_rng(10).standard_normal((2, 3, 4)), requires_grad=True)
     with Tape() as tape:
         f(x)
     assert [n.op for n in tape.nodes] == [op]
+    held = [c.cell_contents for c in tape.nodes[0].backward_fn.__closure__]
+    sizes = [v.size for v in held if isinstance(v, np.ndarray)]
+    assert all(size < x.data.size for size in sizes), (op, sizes)
+
+
+def test_linear_is_one_matmul_node():
+    rng = np.random.default_rng(12)
+    x, w, b = (Tensor(rng.standard_normal(s), requires_grad=True) for s in ((2, 3, 4), (4, 5), (5,)))
+    with Tape() as tape:
+        T.linear(x, w, b)
+    assert [(n.op, len(n.inputs)) for n in tape.nodes] == [("matmul", 3)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_bit_identical_to_matmul_then_add(dtype):
+    rng = np.random.default_rng(13)
+    data = [rng.standard_normal(s).astype(dtype) for s in ((2, 3, 4), (4, 5), (5,))]
+    weights = Tensor(rng.standard_normal((2, 3, 5)).astype(dtype))
+    runs = []
+    for f in (T.linear, lambda x, w, b: T.add(T.matmul(x, w), b)):
+        x, w, b = (Tensor(d.copy(), requires_grad=True) for d in data)
+        with Tape() as tape:
+            y = f(x, w, b)
+            loss = T.sum_(T.mul(y, weights))
+        T.backward(loss, tape)
+        runs.append([y.data, x.grad, w.grad, b.grad])
+    for got, want in zip(*runs):
+        assert got.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("wrt", ["x", "w", "b"])
+def test_linear_grad_check(wrt):
+    rng = np.random.default_rng(14)
+    args = {
+        "x": rng.standard_normal((2, 3, 4)),
+        "w": rng.standard_normal((4, 5)),
+        "b": rng.standard_normal(5),
+    }
+
+    def f(t):
+        x, w, b = (t if k == wrt else Tensor(v) for k, v in args.items())
+        return T.sum_(T.square(T.linear(x, w, b)))
+
+    assert T.grad_check(f, Tensor(args[wrt].copy())) < 1e-6
 
 
 # ------------------------------------------------------------ finite checks
