@@ -203,26 +203,62 @@ def cmd_ablate(args):
     unlabeled = D.load_stack(manifest.unlabeled)
     images, labels = D.load_labeled(manifest.labeled)
     tr, te = manifest.train, manifest.test
-    rows = []
+    vit = dict(decoder_variant="VIT")
+    swin = dict(decoder_variant="SWIN", decoder_width=0)
+    pe = dict(use_abs_pos_embed=True)
+    enc = {v: dict(encoder_variant=v, use_abs_pos_embed=(v != "III"), **vit)
+           for v in ("I", "II", "III")}
+    # (tag, pretraining spec overrides or None for no pretraining, Swin-Unet
+    # spec overrides)
+    table = [
+        ("none", None, {}),
+        ("none+pe", None, pe),
+        ("encoder-I", enc["I"], {}),
+        ("encoder-I+pe", enc["I"], pe),
+        ("encoder-II", enc["II"], {}),
+        ("encoder-II+pe", enc["II"], pe),
+        ("encoder-III", enc["III"], {}),
+        ("decoder-vit", vit, {}),
+        ("decoder-swin", swin, {}),
+        ("decoder-swin+dw", swin, dict(transfer_decoder_weights=True)),
+        ("decoder-swin+de", dict(decoder_width=cfg.embed_dim * 4, **vit), {}),
+        ("masking-random", dict(mask_mode="random"), {}),
+        ("masking-window", dict(mask_mode="window"), {}),
+    ] + [(f"ratio-{r}", dict(mask_ratio=r), {}) for r in (0.45, 0.6, 0.75, 0.9)]
     # rows that repeat a configuration reuse its run: pretrainings are keyed
-    # by resolved spec and mask mode, fine-tunings by that key and their spec
+    # by resolved spec and mask mode (a failed one keeps its TensorError),
+    # fine-tunings by that key and their spec
     pretrained = {None: None}
     reports = {}
 
-    def pretrain(**spec_kw):
+    def pretrain(spec_kw):
+        if spec_kw is None:
+            return None
+        spec_kw = dict(spec_kw)
         mode = spec_kw.pop("mask_mode", "window")
         spec = _model_spec(cfg, **spec_kw)
         key = (repr(spec), mode)
         if key not in pretrained:
-            model = SwinMae(spec, seed=cfg.seed)
-            run_pretraining(
-                model, unlabeled, cfg.epochs, cfg.lr_max, cfg.batch_size, cfg.seed,
-                mask_mode=mode,
-            )
-            pretrained[key] = {n: p.data.copy() for n, p in model.params.items()}
+            try:
+                model = SwinMae(spec, seed=cfg.seed)
+                run_pretraining(
+                    model, unlabeled, cfg.epochs, cfg.lr_max, cfg.batch_size,
+                    cfg.seed, mask_mode=mode,
+                )
+                pretrained[key] = {n: p.data.copy() for n, p in model.params.items()}
+            except TensorError as exc:
+                pretrained[key] = exc
+        if isinstance(pretrained[key], TensorError):
+            raise pretrained[key]
         return key
 
-    def finetune(tag, key, **unet_kw):
+    rows = []
+    for tag, spec_kw, unet_kw in table:
+        try:
+            key = pretrain(spec_kw)
+        except TensorError as exc:
+            _log(f"{tag}: skipped ({exc})")
+            continue
         spec = _unet_spec(cfg, **unet_kw)
         run_key = (key, repr(spec))
         if run_key not in reports:
@@ -240,40 +276,6 @@ def cmd_ablate(args):
             f"{tag}: dsc {rep['dsc_pct']:.2f} mpa {rep['mpa_pct']:.2f} "
             f"miou {rep['miou_pct']:.2f} hd {rep['hd']:.3f}"
         )
-
-    finetune("none", None)
-    finetune("none+pe", None, use_abs_pos_embed=True)
-    for variant in ("I", "II", "III"):
-        try:
-            ckpt = pretrain(
-                encoder_variant=variant,
-                use_abs_pos_embed=(variant != "III"), decoder_variant="VIT",
-            )
-        except TensorError as exc:
-            _log(f"encoder-{variant}: skipped ({exc})")
-            continue
-        finetune(f"encoder-{variant}", ckpt)
-        if variant != "III":
-            finetune(f"encoder-{variant}+pe", ckpt, use_abs_pos_embed=True)
-    for tag, kw in (
-        ("decoder-vit", dict(decoder_variant="VIT")),
-        ("decoder-swin", dict(decoder_variant="SWIN", decoder_width=0)),
-        ("decoder-swin+de", dict(decoder_variant="VIT", decoder_width=cfg.embed_dim * 4)),
-    ):
-        ckpt = pretrain(**kw)
-        finetune(tag, ckpt)
-        if tag == "decoder-swin":
-            finetune("decoder-swin+dw", ckpt, transfer_decoder_weights=True)
-    for mode in ("random", "window"):
-        ckpt = pretrain(mask_mode=mode)
-        finetune(f"masking-{mode}", ckpt)
-    for ratio in (0.45, 0.6, 0.75, 0.9):
-        try:
-            ckpt = pretrain(mask_ratio=ratio)
-        except TensorError as exc:
-            _log(f"ratio-{ratio}: skipped ({exc})")
-            continue
-        finetune(f"ratio-{ratio}", ckpt)
 
     out = os.path.join(cfg.out_dir, "ablation.csv")
     with open(out, "w", encoding="utf-8") as f:

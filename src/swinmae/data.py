@@ -22,20 +22,32 @@ class ImageFormatError(ValueError):
     pass
 
 
-def _read_pnm_header(f, magic):
-    got = f.read(2)
-    if got != magic:
-        raise ImageFormatError(f"expected {magic!r} header, got {got!r}")
+def _header_field(token):
+    """A PNM header field: decimal digits only, so no sign or underscore."""
+    if token.isdigit():
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ImageFormatError(f"header field {token[:16]!r} is not a decimal integer")
+
+
+def _read_pnm_header(f):
+    """Width and height from the header after the magic; both must be >= 1
+    and the maxval 255."""
     fields = []
     while len(fields) < 3:
         line = f.readline()
         if not line:
             raise ImageFormatError("truncated header")
-        text = line.split(b"#", 1)[0]
-        fields.extend(int(t) for t in text.split())
+        fields.extend(_header_field(t) for t in line.split(b"#", 1)[0].split())
+    if len(fields) > 3:
+        raise ImageFormatError(f"extra header fields after maxval: {fields[3:]}")
     w, h, maxval = fields
     if maxval != 255:
         raise ImageFormatError(f"only 8-bit images supported, maxval={maxval}")
+    if w < 1 or h < 1:
+        raise ImageFormatError(f"image size {w}x{h} is empty")
     return w, h
 
 
@@ -65,21 +77,20 @@ def load_image(path):
     """P6 -> [3,H,W] floats scaled to [0,1]; P5 -> [H,W] integer classes."""
     with open(path, "rb") as f:
         magic = f.read(2)
-        f.seek(0)
-        if magic == b"P6":
-            w, h = _read_pnm_header(f, b"P6")
-            raw = f.read(3 * w * h)
-            if len(raw) != 3 * w * h:
-                raise ImageFormatError("truncated pixel data")
-            arr = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
-            return arr.transpose(2, 0, 1).astype(np.float64) / 255.0
-        if magic == b"P5":
-            w, h = _read_pnm_header(f, b"P5")
-            raw = f.read(w * h)
-            if len(raw) != w * h:
-                raise ImageFormatError("truncated pixel data")
-            return np.frombuffer(raw, dtype=np.uint8).reshape(h, w).astype(np.int64)
-        raise ImageFormatError(f"unsupported format {magic!r}")
+        if magic not in (b"P6", b"P5"):
+            raise ImageFormatError(f"unsupported format {magic!r}")
+        w, h = _read_pnm_header(f)
+        n = w * h * (3 if magic == b"P6" else 1)
+        # refuse a claim larger than the file before allocating for it
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if n > left:
+            raise ImageFormatError(
+                f"truncated pixel data: {n} bytes claimed, {left} left"
+            )
+        arr = np.frombuffer(f.read(n), dtype=np.uint8)
+    if magic == b"P5":
+        return arr.reshape(h, w).astype(np.int64)
+    return arr.reshape(h, w, 3).transpose(2, 0, 1).astype(np.float64) / 255.0
 
 
 # ------------------------------------------------------------- synthetic set

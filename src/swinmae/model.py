@@ -16,30 +16,6 @@ from .patches import PatchSpec, TokenGrid
 from .masking import apply_mask_tokens, kept_window_grid, split_rng
 
 
-def token_dim(h, w, c, l):
-    """Decoder token width needed so L tokens reshape into an H*W*C image."""
-    total = h * w * c
-    if total % l:
-        raise TensorError(f"{h}*{w}*{c} not divisible by token count {l}")
-    return total // l
-
-
-@dataclass
-class ReconSpec:
-    h: int
-    w: int
-    c: int
-    l: int
-    d: int
-
-    def __post_init__(self):
-        if self.d * self.l != self.h * self.w * self.c:
-            raise TensorError(
-                f"token block {self.l}x{self.d} cannot hold a "
-                f"{self.h}x{self.w}x{self.c} image"
-            )
-
-
 @dataclass
 class ModelSpec:
     image: PatchSpec
@@ -70,16 +46,26 @@ class ModelSpec:
             raise TensorError("decoder_width applies only to the VIT decoder")
         if len(self.stage_depths) != len(self.head_counts):
             raise TensorError("stage_depths and head_counts length mismatch")
+        if self.attn_window < 1 or self.mask_window_r < 1:
+            raise TensorError("attn_window and mask_window_r must be >= 1")
         side = self.enc_input_side
         if side % self.mask_window_r:
             raise TensorError(
                 f"token side {side} not divisible by mask window r="
                 f"{self.mask_window_r}"
             )
-        for s in self.stage_sides:
-            if s < 1:
+        sides = self.stage_sides
+        for k, s in enumerate(sides):
+            # every stage but the last is merged 2x2 into the next
+            if s < 1 or (k < len(sides) - 1 and s % 2):
                 raise TensorError(
-                    f"too many merging stages for token side {side}"
+                    f"too many merging stages for token side {side}: "
+                    f"stage sides {sides}"
+                )
+            if s % effective_window(s, self.attn_window):
+                raise TensorError(
+                    f"stage {k} token side {s} not divisible by attention "
+                    f"window {self.attn_window}"
                 )
 
     @property
@@ -186,27 +172,27 @@ def _init_stage(ps, prefix, spec, k, rng, dtype):
         )
 
 
-def _init_pos_embed(ps, spec, rng, dtype, prefix="enc"):
+def _init_pos_embed(ps, spec, rng, dtype):
     l0 = spec.enc_input_side ** 2
     ps.add(
-        f"{prefix}.pos_embed",
+        "enc.pos_embed",
         Tensor(rng.normal(0.0, 0.02, (1, l0, spec.embed_dim)), dtype=dtype),
     )
 
 
-def build_encoder_params(ps, spec, rng, dtype, prefix="enc"):
+def build_encoder_params(ps, spec, rng, dtype):
     """Shared by the autoencoder and the segmentation net so parameter names
     and shapes line up for weight transfer."""
     p_in = spec.image.patch_side ** 2 * spec.image.channels
-    _init_linear(ps, f"{prefix}.embed", p_in, spec.embed_dim, rng, dtype)
+    _init_linear(ps, "enc.embed", p_in, spec.embed_dim, rng, dtype)
     if spec.use_abs_pos_embed:
-        _init_pos_embed(ps, spec, rng, dtype, prefix)
+        _init_pos_embed(ps, spec, rng, dtype)
     for k in range(spec.n_stages):
-        _init_stage(ps, prefix, spec, k, rng, dtype)
+        _init_stage(ps, "enc", spec, k, rng, dtype)
         if k < spec.n_stages - 1:
             dim = spec.stage_dims[k]
-            _init_norm(ps, f"{prefix}.merge{k}.norm", 4 * dim, dtype)
-            _init_linear(ps, f"{prefix}.merge{k}.reduce", 4 * dim, 2 * dim, rng, dtype)
+            _init_norm(ps, f"enc.merge{k}.norm", 4 * dim, dtype)
+            _init_linear(ps, f"enc.merge{k}.reduce", 4 * dim, 2 * dim, rng, dtype)
 
 
 def build_expanding_params(ps, spec, prefix, rng, dtype, skip_fusion=False):
@@ -260,10 +246,6 @@ def swin_block_forward(g, ps, prefix, heads, window, shifted):
     LN -> 4x GELU MLP -> residual. A window as wide as the grid attends
     globally; the relative bias applies only where the block has a table."""
     side = effective_window(g.h_tokens, window)
-    if g.h_tokens % side or g.w_tokens % side:
-        raise TensorError(
-            f"grid {g.h_tokens}x{g.w_tokens} not divisible by window {side}"
-        )
     shifted = shifted and side < g.h_tokens
     rel_index = None
     if prefix + ".attn.rel_table" in ps:
@@ -296,9 +278,9 @@ def run_stage(g, ps, prefix, depth, heads, window):
     return g
 
 
-def encoder_forward(image, spec, plan, ps, prefix="enc", mask_token=None):
-    """Embed (plus `<prefix>.pos_embed` when the store has one), mask, then
-    run the hierarchical stages.
+def encoder_forward(image, spec, plan, ps, mask_token=None):
+    """Embed (plus `enc.pos_embed` when the store has one), mask, then run
+    the hierarchical stages.
 
     Returns (latent TokenGrid, per-stage skip grids taken before each merge).
     """
@@ -307,12 +289,11 @@ def encoder_forward(image, spec, plan, ps, prefix="enc", mask_token=None):
     g = P.patch_partition(
         image,
         PatchSpec(*spec.enc_image_hw, spec.image.channels, spec.image.patch_side),
-        ps[f"{prefix}.embed.w"], ps[f"{prefix}.embed.b"],
+        ps["enc.embed.w"], ps["enc.embed.b"],
     )
-    if f"{prefix}.pos_embed" in ps:
+    if "enc.pos_embed" in ps:
         g = TokenGrid(
-            g.batch, g.h_tokens, g.w_tokens, g.dim,
-            T.add(g.data, ps[f"{prefix}.pos_embed"]),
+            g.batch, g.h_tokens, g.w_tokens, g.dim, T.add(g.data, ps["enc.pos_embed"]),
         )
     if plan is not None:
         if plan.side != spec.enc_input_side:
@@ -331,15 +312,15 @@ def encoder_forward(image, spec, plan, ps, prefix="enc", mask_token=None):
     skips = []
     for k in range(spec.n_stages):
         g = run_stage(
-            g, ps, f"{prefix}.stage{k}", spec.stage_depths[k],
+            g, ps, f"enc.stage{k}", spec.stage_depths[k],
             spec.head_counts[k], spec.attn_window,
         )
         skips.append(g)
         if k < spec.n_stages - 1:
             g = P.patch_merging(
                 g,
-                ps[f"{prefix}.merge{k}.reduce.w"], ps[f"{prefix}.merge{k}.reduce.b"],
-                ps[f"{prefix}.merge{k}.norm.g"], ps[f"{prefix}.merge{k}.norm.b"],
+                ps[f"enc.merge{k}.reduce.w"], ps[f"enc.merge{k}.reduce.b"],
+                ps[f"enc.merge{k}.norm.g"], ps[f"enc.merge{k}.norm.b"],
             )
     return g, skips
 
@@ -399,14 +380,12 @@ class SwinMae:
         return self.spec.stage_dims[-1]
 
     @property
-    def recon_spec(self):
-        h, w = self.spec.enc_image_hw
-        c = self.spec.image.channels
-        if self.spec.decoder_variant == "VIT":
-            l = self.latent_side ** 2
-        else:
-            l = self.spec.grid_side ** 2
-        return ReconSpec(h, w, c, l, token_dim(h, w, c, l))
+    def recon_patch(self):
+        """Pixel side of the patch one decoder token predicts: the VIT decoder
+        runs on the latent grid, the SWIN decoder expands back to stage 0."""
+        spec = self.spec
+        tokens = self.latent_side if spec.decoder_variant == "VIT" else spec.grid_side
+        return spec.enc_image_hw[0] // tokens
 
     def _build_decoder(self, rng):
         spec, dtype = self.spec, self.dtype
@@ -425,7 +404,10 @@ class SwinMae:
             build_expanding_params(self.params, spec, "dec", rng, dtype)
             width = spec.embed_dim
         _init_norm(self.params, "dec.norm", width, dtype)
-        _init_linear(self.params, "dec.proj", width, self.recon_spec.d, rng, dtype)
+        _init_linear(
+            self.params, "dec.proj", width,
+            self.recon_patch ** 2 * spec.image.channels, rng, dtype,
+        )
 
     def encode(self, image, plan):
         mask_token = (
@@ -433,7 +415,7 @@ class SwinMae:
             if self.spec.encoder_variant in ("I", "III")
             else None
         )
-        return encoder_forward(image, self.spec, plan, self.params, "enc", mask_token)
+        return encoder_forward(image, self.spec, plan, self.params, mask_token)
 
     def decode(self, latent):
         """Latent TokenGrid -> reconstruction tokens [B, L, D]."""
@@ -451,16 +433,18 @@ class SwinMae:
         return T.linear(x, ps["dec.proj.w"], ps["dec.proj.b"])
 
     def forward(self, image, plan):
+        """[B,C,H,W] image -> reconstruction at the encoder's input size."""
         latent, _ = self.encode(image, plan)
-        return self.decode(latent)
+        h, w = self.spec.enc_image_hw
+        return P.unflatten_patches(
+            self.decode(latent), h, w, self.spec.image.channels, self.recon_patch
+        )
 
     def reconstruct(self, image, plan):
-        tokens = self.forward(Tensor(image.data, dtype=self.dtype), plan)
-        return reconstruct_image(tokens, self.recon_spec)
+        return self.forward(Tensor(image.data, dtype=self.dtype), plan)
 
     def loss(self, image, plan):
-        tokens = self.forward(image, plan)
-        recon = reconstruct_image(tokens, self.recon_spec)
+        recon = self.forward(image, plan)
         target = image
         if self.spec.encoder_variant == "II":
             target = upscale2x(image)
@@ -468,19 +452,6 @@ class SwinMae:
 
     def encoder_param_names(self):
         return [n for n in self.params.names() if n.startswith("enc.")]
-
-
-def reconstruct_image(tokens, recon):
-    """Tokens [B, L, D] -> image [B, C, H, W]; inverse of patch flattening."""
-    b, l, d = tokens.shape
-    if (l, d) != (recon.l, recon.d):
-        raise TensorError(
-            f"tokens {l}x{d} do not match recon spec {recon.l}x{recon.d}"
-        )
-    l_side = int(round(np.sqrt(l)))
-    if l_side * l_side != l or recon.h % l_side:
-        raise TensorError(f"token count {l} does not tile a {recon.h}-pixel image")
-    return P.unflatten_patches(tokens, recon.h, recon.w, recon.c, recon.h // l_side)
 
 
 def pixel_mask(plan, h, w):

@@ -17,7 +17,9 @@ from .model import (
     ModelSpec, build_encoder_params, build_expanding_params, encoder_forward,
     expanding_path, _init_linear, _init_norm, _init_pos_embed,
 )
-from .training import Adam, ScheduleConfig, cosine_lr, CheckpointError, save_checkpoint
+from .training import (
+    Adam, ScheduleConfig, cosine_lr, CheckpointError, save_checkpoint, train_step,
+)
 from . import metrics as M
 
 # Images per forward pass in evaluate_segmentation. A 224² full-scale
@@ -246,13 +248,7 @@ def run_finetune(
             imgs, labs = train_images[idx], train_labels[idx]
             if augment:
                 imgs, labs = augment_batch(imgs, labs, split_rng(seed, epoch, 1, bi))
-            optimizer.zero_grad()
-            with T.Tape() as tape:
-                loss = model.loss(Tensor(imgs.astype(model.dtype)), labs)
-            if not np.isfinite(loss.data).all():
-                raise TensorError("non-finite fine-tuning loss; aborting")
-            T.backward(loss, tape)
-            optimizer.step(lr)
+            train_step(model, imgs, labs, optimizer, lr)
         report, _ = evaluate_segmentation(model, test_images, test_labels)
         history.append(report)
         if log:

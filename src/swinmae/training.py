@@ -36,14 +36,17 @@ def cosine_lr(cfg):
     return cfg.lr_max * (1.0 + math.cos(cfg.i / cfg.m * math.pi)) / 2.0
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
-    """Adam. Updates iterate parameters in lexicographic name order, so two
-    runs with identical seeds produce bit-identical states.
+    """Adam with the standard BETA1, BETA2 and EPS. Updates iterate parameters
+    in lexicographic name order, so two runs with identical seeds produce
+    bit-identical states.
     """
 
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self.m = {n: np.zeros_like(p.data) for n, p in params.items()}
         self.v = {n: np.zeros_like(p.data) for n, p in params.items()}
@@ -51,19 +54,19 @@ class Adam:
     def step(self, lr):
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
         for name, p in self.params.items():
             g = p.grad
             if g is None:
                 continue
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
     def zero_grad(self):
         self.params.zero_grad()
@@ -197,11 +200,13 @@ def load_params_strict(params, tensors):
 # ---------------------------------------------------------------- training
 
 
-def train_step(model, batch, plan, optimizer, lr):
-    """One forward/backward/update over a [B,C,H,W] batch; returns the loss."""
+def train_step(model, batch, target, optimizer, lr):
+    """One forward/backward/update over a [B,C,H,W] batch; returns the loss.
+    `target` is what `model.loss` takes after the images: a mask plan for
+    pretraining, [B,H,W] label maps for fine-tuning."""
     optimizer.zero_grad()
     with T.Tape() as tape:
-        loss = model.loss(Tensor(batch.astype(model.dtype)), plan)
+        loss = model.loss(Tensor(batch.astype(model.dtype)), target)
     if not np.isfinite(loss.data).all():
         raise TensorError(f"non-finite loss {loss.item()!r}; aborting")
     T.backward(loss, tape)

@@ -42,6 +42,19 @@ def test_runtime_errors_exit_1(tmp_path, capsys):
     # unknown config key
     rc = cli_main(["gen-data", "--set", "no_such_key=1"])
     assert rc == 1
+    capsys.readouterr()
+    # an image header that claims 10^9 x 10^9 pixels in a 30-byte file
+    data_dir = tmp_path / "hostile"
+    data_dir.mkdir()
+    (data_dir / "unlabeled_00000.ppm").write_bytes(
+        b"P6\n1000000000 1000000000\n255\n\x00"
+    )
+    rc = cli_main([
+        "pretrain", "--set", f"data_dir={data_dir}",
+        "--set", f"out_dir={tmp_path / 'out'}",
+    ])
+    assert rc == 1
+    assert "truncated pixel data" in capsys.readouterr().err
 
 
 def test_gen_data_writes_dataset(tmp_path, capsys):
@@ -183,6 +196,32 @@ def test_ablate_pretrains_each_distinct_configuration_once(tmp_path, capsys, mon
     monkeypatch.setattr(cli, "run_pretraining", counted)
     run_ablate(tmp_path)
     assert sorted(calls) == ["random"] + ["window"] * 8
+
+
+def test_ablate_skips_every_row_whose_pretraining_fails(tmp_path, capsys, monkeypatch):
+    """At mask ratio 0.95 window masking keeps nothing, so every row that
+    pretrains with it is logged as skipped, and each failed configuration is
+    tried once: 5 failing and 5 succeeding distinct pretrainings."""
+    calls = []
+    real = cli.run_pretraining
+
+    def counted(*args, **kw):
+        calls.append(kw["mask_mode"])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(cli, "run_pretraining", counted)
+    data_dir = gen(tmp_path, n_unlabeled=8, n_labeled=6)
+    out_dir = tmp_path / "ablate"
+    sets = [f"data_dir={data_dir}", f"out_dir={out_dir}", "epochs=1", "mask_ratio=0.95"]
+    assert cli_main(["ablate", *(a for kv in sets for a in ("--set", kv))]) == 0
+    kept = ["none", "none+pe", "masking-random",
+            "ratio-0.45", "ratio-0.6", "ratio-0.75", "ratio-0.9"]
+    _, *rows = (out_dir / "ablation.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows] == kept
+    out = capsys.readouterr().out
+    for tag in ABLATION_TAGS:
+        assert (f"{tag}: skipped (" in out) == (tag not in kept), tag
+    assert len(calls) == 10
 
 
 def test_config_file_and_override(tmp_path, capsys):

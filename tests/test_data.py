@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swinmae.data import (
     DatasetManifest, ImageFormatError, emit_triptych, generate_synthetic_dataset,
@@ -41,18 +42,49 @@ def test_pgm_roundtrip_preserves_class_ids(tmp_path):
 
 
 def test_load_rejects_malformed_files(tmp_path):
-    bad = tmp_path / "bad.ppm"
-    bad.write_bytes(b"P3\n2 2\n255\n")
-    with pytest.raises(ImageFormatError, match="unsupported"):
-        load_image(bad)
-    trunc = tmp_path / "trunc.ppm"
-    trunc.write_bytes(b"P6\n4 4\n255\n\x00\x01")
-    with pytest.raises(ImageFormatError, match="truncated"):
-        load_image(trunc)
-    deep = tmp_path / "deep.pgm"
-    deep.write_bytes(b"P5\n2 2\n65535\n" + b"\x00" * 8)
-    with pytest.raises(ImageFormatError, match="maxval"):
-        load_image(deep)
+    for raw, match in [
+        (b"P3\n2 2\n255\n", "unsupported"),
+        (b"P6\n4 4\n255\n\x00\x01", "truncated"),
+        (b"P5\n2 2\n65535\n" + b"\x00" * 8, "maxval"),
+        # 30 bytes that claim 10^9 x 10^9 pixels
+        (b"P6\n1000000000 1000000000\n255\n\x00", "truncated pixel data"),
+        (b"P6\n2.5 2\n255\n" + b"\x00" * 15, "not a decimal integer"),
+        (b"P5\n-2 2\n255\n" + b"\x00" * 4, "not a decimal integer"),
+        (b"P5\n+2 2\n255\n" + b"\x00" * 4, "not a decimal integer"),
+        (b"P6\n2 2 255 7\n" + b"\x00" * 12, "extra header fields"),
+        (b"P6\n0 5\n255\n", "empty"),
+        (b"P5\n5 0\n255\n", "empty"),
+    ]:
+        path = tmp_path / "bad.pnm"
+        path.write_bytes(raw)
+        with pytest.raises(ImageFormatError, match=match):
+            load_image(path)
+
+
+_TOKENS = st.one_of(
+    st.integers(-3, 10**10).map(lambda n: str(n).encode()),
+    st.sampled_from([b"255", b"#", b"\n", b"1_0", b"+1", b"2.0", b"9" * 5000]),
+    st.binary(max_size=4),
+)
+
+
+def test_only_image_format_error_escapes_header_parsing(tmp_path):
+    path = tmp_path / "fuzz.pnm"
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        magic=st.sampled_from([b"P5", b"P6", b"P3", b""]),
+        header=st.one_of(st.lists(_TOKENS, max_size=8).map(b" ".join), st.binary(max_size=40)),
+        pixels=st.binary(max_size=24),
+    )
+    def check(magic, header, pixels):
+        path.write_bytes(magic + header + b"\n" + pixels)
+        try:
+            load_image(path)
+        except ImageFormatError:
+            pass
+
+    check()
 
 
 def test_ppm_header_comments_tolerated(tmp_path):

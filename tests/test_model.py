@@ -3,29 +3,14 @@ import pytest
 
 import swinmae.tensor as T
 from swinmae.tensor import Tape, Tensor, TensorError
-from swinmae.patches import PatchSpec, TokenGrid
+from swinmae.patches import PatchSpec, TokenGrid, flatten_patches, unflatten_patches
 from swinmae.masking import build_mask_plan, split_rng
 from swinmae.model import (
-    ModelSpec, ReconSpec, SwinMae, desk_spec, masked_mse_loss, pixel_mask,
-    reconstruct_image, swin_block_forward, token_dim, _init_block,
+    ModelSpec, SwinMae, desk_spec, masked_mse_loss, pixel_mask,
+    swin_block_forward, _init_block,
 )
+from swinmae.segmentation import SwinUnet, SwinUnetSpec
 from swinmae.tensor import ParamStore
-
-
-def test_token_dim_values():
-    assert token_dim(224, 224, 3, 49) == 3072
-    assert token_dim(4, 4, 1, 16) == 1
-    assert token_dim(32, 32, 3, 64) == 48
-
-
-def test_token_dim_divisibility():
-    with pytest.raises(TensorError, match="divisible"):
-        token_dim(10, 10, 3, 7)
-
-
-def test_recon_spec_invariant():
-    with pytest.raises(TensorError):
-        ReconSpec(8, 8, 1, 4, 15)
 
 
 def block_params(dim, heads, window, seed=0):
@@ -118,7 +103,28 @@ def test_encoder_shape_arithmetic_desk():
 
 def test_encoder_rejects_too_deep_config():
     with pytest.raises(TensorError, match="merging"):
-        desk_spec(image=PatchSpec(16, 16, 3, 4))
+        desk_spec(image=PatchSpec(16, 16, 3, 4))  # stage sides 4/2/1/0
+    with pytest.raises(TensorError, match="merging"):
+        # stage sides 14/7/3: the 7-token stage cannot be merged
+        desk_spec(image=PatchSpec(56, 56, 3, 4), stage_depths=(1, 1, 1),
+                  head_counts=(2, 2, 2))
+
+
+def test_spec_rejects_stage_side_not_divisible_by_window():
+    # stage sides 12/6/3: a 4-token window does not tile the 6-token stage
+    kw = dict(image=PatchSpec(48, 48, 3, 4), stage_depths=(1, 1, 1),
+              head_counts=(2, 2, 2), attn_window=4)
+    with pytest.raises(TensorError, match="side 6 not divisible by attention window 4"):
+        desk_spec(**kw)
+    kw.pop("image")
+    with pytest.raises(TensorError, match="window 4"):
+        SwinUnet(SwinUnetSpec(image=PatchSpec(48, 48, 3, 4), **kw))
+
+
+@pytest.mark.parametrize("window,mask_r", [(0, 2), (2, 0)])
+def test_spec_rejects_empty_windows(window, mask_r):
+    with pytest.raises(TensorError, match=">= 1"):
+        desk_spec(attn_window=window, mask_window_r=mask_r)
 
 
 def test_variant3_masked_positions_carry_one_vector():
@@ -161,11 +167,11 @@ def test_full_scale_dry_run_shapes():
     assert (latent.h_tokens, latent.w_tokens) == (7, 7)
     tokens = vit.decode(latent)
     assert tokens.shape == (1, 49, 3072)
-    assert vit.recon_spec.d * vit.recon_spec.l == 224 * 224 * 3
+    assert vit.recon_patch == 32
     swin = SwinMae(ModelSpec(decoder_variant="SWIN", **kw), seed=0, dtype=np.float32)
     tokens = swin.decode(latent)
     assert tokens.shape == (1, 56 * 56, 48)
-    assert swin.recon_spec.d * swin.recon_spec.l == 224 * 224 * 3
+    assert swin.recon_patch == 4
 
 
 @pytest.mark.parametrize("variant,decoder", [
@@ -177,45 +183,41 @@ def test_eq1_consistency_all_variants(variant, decoder):
         use_abs_pos_embed=(variant != "III"),
     )
     model = SwinMae(spec, seed=0)
-    rs = model.recon_spec
     h, w = spec.enc_image_hw
-    assert rs.d * rs.l == h * w * spec.image.channels
+    p = model.recon_patch
     plan = build_mask_plan(
         spec.mask_grid_d, spec.mask_window_r, spec.mask_ratio, split_rng(0, 0)
     )
     img = Tensor(np.random.default_rng(3).random((1, 3, 32, 32)))
-    tokens = model.forward(img, plan)
-    assert tokens.shape == (1, rs.l, rs.d)
+    latent, _ = model.encode(img, plan)
+    # the decoder's tokens tile the encoder's input image exactly
+    tokens = model.decode(latent)
+    assert tokens.shape == (1, (h // p) * (w // p), p * p * spec.image.channels)
+    assert model.forward(img, plan).shape == (1, 3, h, w)
 
 
 def test_reconstruct_roundtrip():
     rng = np.random.default_rng(4)
     img = rng.random((2, 3, 8, 8))
-    from swinmae.patches import flatten_patches
-
     tokens = flatten_patches(Tensor(img), 4)
-    back = reconstruct_image(tokens, ReconSpec(8, 8, 3, 4, 48))
+    back = unflatten_patches(tokens, 8, 8, 3, 4)
     assert np.array_equal(back.data, img)
 
 
 def test_reconstruct_single_token_is_whole_image():
     rng = np.random.default_rng(5)
     img = rng.random((1, 1, 4, 4))
-    from swinmae.patches import flatten_patches
-
     tokens = flatten_patches(Tensor(img), 4)
-    back = reconstruct_image(tokens, ReconSpec(4, 4, 1, 1, 16))
+    back = unflatten_patches(tokens, 4, 4, 1, 4)
     assert np.array_equal(back.data, img)
 
 
 def test_reconstruct_quadrants():
     img = np.zeros((1, 1, 8, 8))
     img[0, 0, :4, :4] = 1.0
-    from swinmae.patches import flatten_patches
-
     tokens = flatten_patches(Tensor(img), 4)
     assert np.array_equal(tokens.data[0, 0], np.ones(16))
-    back = reconstruct_image(tokens, ReconSpec(8, 8, 1, 4, 16))
+    back = unflatten_patches(tokens, 8, 8, 1, 4)
     assert np.array_equal(back.data, img)
 
 
