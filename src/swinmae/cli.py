@@ -25,7 +25,7 @@ from .segmentation import (
     run_finetune,
 )
 from . import data as D
-from .config import DEFAULTS, RunConfig
+from .config import RunConfig
 
 
 def _log(msg):
@@ -50,11 +50,10 @@ def _config(args):
 
 
 def _spec(cls, cfg, **extra):
-    """A ModelSpec or SwinUnetSpec from every config key that names one of
-    its fields; `extra` overrides them."""
+    """A ModelSpec or SwinUnetSpec from the config, where every field but
+    `image` is a key of the same name; `extra` overrides them."""
     kw = {
-        f.name: cfg.ints(f.name) if isinstance(f.default, tuple) else getattr(cfg, f.name)
-        for f in dataclasses.fields(cls) if f.name in DEFAULTS
+        f.name: getattr(cfg, f.name) for f in dataclasses.fields(cls) if f.name != "image"
     }
     kw["image"] = PatchSpec(cfg.image_size, cfg.image_size, cfg.channels, cfg.patch_side)
     kw.update(extra)
@@ -175,12 +174,7 @@ def cmd_mask_demo(args):
 
 
 def cmd_grad_check(args):
-    from .model import desk_spec
-
-    spec = desk_spec(
-        image=PatchSpec(16, 16, 3, patch_side=2),
-        embed_dim=8, decoder_variant="SWIN",
-    )
+    spec = ModelSpec(image=PatchSpec(16, 16, 3, patch_side=2), embed_dim=8)
     model = SwinMae(spec, seed=args.seed, dtype=np.float64)
     rng = split_rng(args.seed, 3)
     image = rng.random((1, 3, 16, 16))

@@ -5,31 +5,30 @@ Unknown keys are rejected; every run can log its fully-resolved config.
 
 from __future__ import annotations
 
+import dataclasses
+
+from .model import ModelSpec
+from .segmentation import SwinUnetSpec
 from .tensor import TensorError
 
+_IMAGE = ModelSpec().image
 
+# The model keys and their defaults are the fields of the two specs; the
+# image is flattened to its side, channels and patch side.
 DEFAULTS = {
     "seed": 0,
-    "image_size": 32,
-    "channels": 3,
-    "patch_side": 4,
-    "embed_dim": 16,
-    "stage_depths": "1,1,1,1",
-    "head_counts": "2,2,2,2",
-    "attn_window": 2,
-    "mask_window_r": 2,
-    "mask_ratio": 0.75,
-    "encoder_variant": "III",
-    "decoder_variant": "SWIN",
-    "decoder_width": 0,
-    "decoder_depth": 2,
-    "use_abs_pos_embed": False,
-    "transfer_decoder_weights": False,
+    "image_size": _IMAGE.image_h,
+    "channels": _IMAGE.channels,
+    "patch_side": _IMAGE.patch_side,
+    **{
+        f.name: f.default
+        for cls in (ModelSpec, SwinUnetSpec)
+        for f in dataclasses.fields(cls) if f.name != "image"
+    },
     "mask_mode": "window",
     "epochs": 10,
     "lr_max": 1e-4,
     "batch_size": 48,
-    "num_classes": 3,
     "augment": True,
     "data_dir": "data",
     "out_dir": "runs",
@@ -51,6 +50,8 @@ def _coerce(key, raw, default):
         return int(raw)
     if isinstance(default, float):
         return float(raw)
+    if isinstance(default, tuple):
+        return tuple(int(t) for t in str(raw).split(","))
     return str(raw)
 
 
@@ -88,8 +89,9 @@ class RunConfig:
         except KeyError:
             raise AttributeError(key)
 
-    def ints(self, key):
-        return tuple(int(t) for t in str(self._values[key]).split(","))
-
     def resolved(self):
-        return "\n".join(f"{k} = {self._values[k]}" for k in sorted(self._values))
+        """`key = value` lines, sorted, that `from_file` reads back."""
+        return "\n".join(
+            f"{k} = {','.join(map(str, v)) if isinstance(v, tuple) else v}"
+            for k, v in sorted(self._values.items())
+        )

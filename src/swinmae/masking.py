@@ -129,9 +129,11 @@ def apply_mask_tokens(g, plan, mask_vector):
 def kept_window_grid(g, plan):
     """Re-assemble the kept windows of a dropped grid into a square TokenGrid.
 
-    Requires the kept-window count to be a perfect square. Windows are placed
-    row-major in ascending window-index order.
+    Requires a window-mode plan whose kept-window count is a perfect square.
+    Windows are placed row-major in ascending window-index order.
     """
+    if plan.mode != "window":
+        raise TensorError(f"cannot pack the kept windows of a {plan.mode}-mode plan")
     kept_flags = ~plan.mask_flags.reshape(plan.d, plan.r, plan.d, plan.r)[:, 0, :, 0]
     kept_windows = np.flatnonzero(kept_flags.reshape(-1))
     n_kept = kept_windows.size

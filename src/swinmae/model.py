@@ -5,7 +5,7 @@ pixel reconstruction, and the masked MSE loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,9 +18,12 @@ from .masking import apply_mask_tokens, kept_window_grid, split_rng
 
 @dataclass
 class ModelSpec:
-    image: PatchSpec
+    """The defaults are the desk geometry: tiny, every shape contract holds
+    and training is fast. The config keys of the model are these fields."""
+
+    image: PatchSpec = field(default_factory=lambda: PatchSpec(32, 32, 3, patch_side=4))
     encoder_variant: str = "III"  # I | II | III
-    decoder_variant: str = "VIT"  # VIT | SWIN
+    decoder_variant: str = "SWIN"  # VIT | SWIN
     decoder_width: int = 0  # > 0 embeds the latent to this VIT decoder width
     decoder_depth: int = 2  # VIT decoder block count
     use_abs_pos_embed: bool = False
@@ -54,6 +57,15 @@ class ModelSpec:
                 f"token side {side} not divisible by mask window r="
                 f"{self.mask_window_r}"
             )
+        if self.encoder_variant == "II":
+            # the kept windows must pack into the half-side grid the stages
+            # run on; a plan keeps floor(d * d * (1 - mask_ratio)) windows
+            d, q = self.mask_grid_d, (self.mask_grid_d // 2) ** 2
+            if d % 2 or not q <= d * d * (1.0 - self.mask_ratio) < q + 1:
+                raise TensorError(
+                    f"variant II: masking ratio {self.mask_ratio} does not keep "
+                    f"a quarter of the {d}x{d} mask windows"
+                )
         sides = self.stage_sides
         for k, s in enumerate(sides):
             # every stage but the last is merged 2x2 into the next
@@ -106,16 +118,7 @@ class ModelSpec:
         return self.enc_input_side // self.mask_window_r
 
 
-def desk_spec(**overrides):
-    """Tiny geometry where every shape contract holds and training is fast."""
-    image = overrides.pop("image", PatchSpec(32, 32, 3, patch_side=4))
-    base = dict(
-        image=image, encoder_variant="III", decoder_variant="SWIN",
-        embed_dim=16, stage_depths=(1, 1, 1, 1), head_counts=(2, 2, 2, 2),
-        attn_window=2, mask_window_r=2, mask_ratio=0.75,
-    )
-    base.update(overrides)
-    return ModelSpec(**base)
+desk_spec = ModelSpec
 
 
 # --------------------------------------------------------------------- init
@@ -302,11 +305,6 @@ def encoder_forward(image, spec, plan, ps, mask_token=None):
             )
         if spec.encoder_variant == "II":
             g = kept_window_grid(g, plan)
-            if g.h_tokens != spec.grid_side:
-                raise TensorError(
-                    f"variant II: masking ratio {spec.mask_ratio} keeps a "
-                    f"{g.h_tokens}-token side, expected {spec.grid_side}"
-                )
         else:
             g = apply_mask_tokens(g, plan, mask_token)
     skips = []
@@ -370,30 +368,21 @@ class SwinMae:
             )
         self._build_decoder(rng)
 
-    # latent geometry after the final stage
-    @property
-    def latent_side(self):
-        return self.spec.stage_sides[-1]
-
-    @property
-    def latent_dim(self):
-        return self.spec.stage_dims[-1]
-
     @property
     def recon_patch(self):
         """Pixel side of the patch one decoder token predicts: the VIT decoder
         runs on the latent grid, the SWIN decoder expands back to stage 0."""
         spec = self.spec
-        tokens = self.latent_side if spec.decoder_variant == "VIT" else spec.grid_side
+        tokens = spec.stage_sides[-1] if spec.decoder_variant == "VIT" else spec.grid_side
         return spec.enc_image_hw[0] // tokens
 
     def _build_decoder(self, rng):
         spec, dtype = self.spec, self.dtype
         if spec.decoder_variant == "VIT":
-            width = self.latent_dim
+            width = spec.stage_dims[-1]
             if spec.decoder_width:
+                _init_linear(self.params, "dec.embed", width, spec.decoder_width, rng, dtype)
                 width = spec.decoder_width
-                _init_linear(self.params, "dec.embed", self.latent_dim, width, rng, dtype)
             heads = spec.head_counts[-1]
             if width % heads:
                 heads = 1

@@ -32,10 +32,10 @@ EVAL_BATCH = 16
 class SwinUnetSpec:
     image: PatchSpec
     num_classes: int = 3
-    embed_dim: int = 16
-    stage_depths: tuple = (1, 1, 1, 1)
-    head_counts: tuple = (2, 2, 2, 2)
-    attn_window: int = 2
+    embed_dim: int = ModelSpec.embed_dim
+    stage_depths: tuple = ModelSpec.stage_depths
+    head_counts: tuple = ModelSpec.head_counts
+    attn_window: int = ModelSpec.attn_window
     use_abs_pos_embed: bool = False
     transfer_decoder_weights: bool = False
 
@@ -49,8 +49,6 @@ class SwinUnetSpec:
         downstream-only extra, added outside this spec."""
         return ModelSpec(
             image=self.image,
-            encoder_variant="III",
-            use_abs_pos_embed=False,
             embed_dim=self.embed_dim,
             stage_depths=self.stage_depths,
             head_counts=self.head_counts,

@@ -149,6 +149,31 @@ def test_grad_check_exits_zero(capsys):
     assert "max relative error" in out
 
 
+@pytest.mark.parametrize("sets, depths", [
+    ({}, (1, 1, 1, 1)),
+    ({"stage_depths": "2,2", "head_counts": "2,4"}, (2, 2)),
+])
+def test_resolved_config_reads_back(tmp_path, sets, depths):
+    cfg = RunConfig(**sets)
+    path = tmp_path / "resolved.cfg"
+    path.write_text(cfg.resolved())
+    back = RunConfig.from_file(path)
+    assert back.stage_depths == depths
+    assert back._values == cfg._values
+    assert back.resolved() == cfg.resolved()
+    assert cli._model_spec(back) == cli._model_spec(cfg)
+
+
+def test_malformed_tuple_fails_when_the_config_is_read(tmp_path, capsys):
+    rc = cli_main([
+        "gen-data", "--set", f"data_dir={tmp_path / 'd'}", "--set", "n_unlabeled=1",
+        "--set", "n_labeled=1", "--set", "stage_depths=1,x",
+    ])
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
 def test_decoder_embedding_is_not_a_config_key():
     with pytest.raises(TensorError, match="unknown key 'decoder_embedding'"):
         RunConfig(decoder_embedding=True)
@@ -201,7 +226,8 @@ def test_ablate_pretrains_each_distinct_configuration_once(tmp_path, capsys, mon
 def test_ablate_skips_every_row_whose_pretraining_fails(tmp_path, capsys, monkeypatch):
     """At mask ratio 0.95 window masking keeps nothing, so every row that
     pretrains with it is logged as skipped, and each failed configuration is
-    tried once: 5 failing and 5 succeeding distinct pretrainings."""
+    tried once: the encoder-II spec fails when built, then 4 failing and 5
+    succeeding distinct pretrainings run."""
     calls = []
     real = cli.run_pretraining
 
@@ -221,7 +247,7 @@ def test_ablate_skips_every_row_whose_pretraining_fails(tmp_path, capsys, monkey
     out = capsys.readouterr().out
     for tag in ABLATION_TAGS:
         assert (f"{tag}: skipped (" in out) == (tag not in kept), tag
-    assert len(calls) == 10
+    assert len(calls) == 9
 
 
 def test_config_file_and_override(tmp_path, capsys):

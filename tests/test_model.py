@@ -144,14 +144,22 @@ def test_variant3_masked_positions_carry_one_vector():
 
 
 def test_variant2_wrong_ratio_errors():
-    spec = desk_spec(encoder_variant="II", decoder_variant="VIT", mask_ratio=0.5)
+    with pytest.raises(TensorError, match="variant II: masking ratio 0.5"):
+        desk_spec(encoder_variant="II", decoder_variant="VIT", mask_ratio=0.5)
+
+
+def test_variant2_rejects_a_random_mode_plan():
+    # seed 23's random plan keeps a square count of top-left tokens, so the
+    # windows it reads as kept hold masked tokens too
+    spec = desk_spec(encoder_variant="II", decoder_variant="VIT", use_abs_pos_embed=True)
     model = SwinMae(spec, seed=0)
     plan = build_mask_plan(
-        spec.mask_grid_d, spec.mask_window_r, spec.mask_ratio, split_rng(0, 0)
+        spec.mask_grid_d, spec.mask_window_r, spec.mask_ratio, split_rng(23, 0),
+        mode="random",
     )
     img = Tensor(np.random.default_rng(2).random((1, 3, 32, 32)))
-    with pytest.raises(TensorError):
-        model.encode(img, plan)
+    with pytest.raises(TensorError, match="random-mode plan"):
+        model.loss(img, plan)
 
 
 def test_full_scale_dry_run_shapes():
@@ -313,7 +321,7 @@ def test_desk_loss_tape_node_count():
 def test_decoder_width_turns_on_the_embedding(width):
     model = SwinMae(desk_spec(decoder_variant="VIT", decoder_width=width), seed=0)
     if width:
-        assert model.params["dec.embed.w"].shape == (model.latent_dim, width)
+        assert model.params["dec.embed.w"].shape == (model.spec.stage_dims[-1], width)
         assert model.params["dec.norm.g"].shape == (width,)
     else:
         assert "dec.embed.w" not in model.params
@@ -384,7 +392,7 @@ def test_vit_decoder_block_mixes_globally():
         decoder_depth=1,
     )
     model = SwinMae(spec, seed=0)
-    side, dim = model.latent_side, model.latent_dim
+    side, dim = spec.stage_sides[-1], spec.stage_dims[-1]
     assert side > spec.attn_window
     rng = np.random.default_rng(4)
     lat = rng.standard_normal((1, side * side, dim))
