@@ -5,6 +5,7 @@ pixel reconstruction, and the masked MSE loss.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,13 +154,17 @@ def _init_block(ps, prefix, dim, heads, window_side, rng, dtype):
     _init_linear(ps, prefix + ".mlp.fc2", 4 * dim, dim, rng, dtype)
 
 
+@functools.lru_cache(maxsize=None)
 def relative_position_index(side):
-    """Flat [T*T] index into the (2*side-1)^2 relative-bias table."""
+    """Flat [T*T] index into the (2*side-1)^2 relative-bias table; built once
+    per side and read-only."""
     coords = np.stack(
         np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
     ).reshape(2, -1)
     rel = coords[:, :, None] - coords[:, None, :] + (side - 1)
-    return (rel[0] * (2 * side - 1) + rel[1]).reshape(-1)
+    index = (rel[0] * (2 * side - 1) + rel[1]).reshape(-1)
+    index.flags.writeable = False
+    return index
 
 
 def effective_window(side, window):
@@ -214,31 +219,27 @@ def build_expanding_params(ps, spec, prefix, rng, dtype, skip_fusion=False):
 # ------------------------------------------------------------------ forward
 
 
-def _heads_split(x, heads):
-    nb, t, c = x.shape
-    x = T.reshape(x, (nb, t, heads, c // heads))
-    return T.transpose(x, (0, 2, 1, 3))
-
-
 def attention(xw, ps, prefix, heads, rel_index=None, mask=None):
     """Multi-head self-attention over [nB, T, C] sequences.
 
     `rel_index` selects rows of the learned relative-bias table; `mask` is a
-    constant additive [nW, T, T] array (-inf across regions) that the softmax
-    applies.
+    constant additive [nW, T, T] array (-inf across regions). The softmax
+    applies the score scale, the bias and the mask in its one node.
     """
     nb, t, c = xw.shape
     hd = c // heads
-    q = _heads_split(T.linear(xw, ps[prefix + ".wq.w"], ps[prefix + ".wq.b"]), heads)
-    k = _heads_split(T.linear(xw, ps[prefix + ".wk.w"], ps[prefix + ".wk.b"]), heads)
-    v = _heads_split(T.linear(xw, ps[prefix + ".wv.w"], ps[prefix + ".wv.b"]), heads)
-    attn = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
+    q, k, v = (
+        T.split_heads(T.linear(xw, ps[f"{prefix}.{nm}.w"], ps[f"{prefix}.{nm}.b"]), heads)
+        for nm in ("wq", "wk", "wv")
+    )
+    bias = None
     if rel_index is not None:
         bias = T.gather(ps[prefix + ".rel_table"], rel_index, axis=0)
         bias = T.reshape(bias, (t, t, heads))
         bias = T.reshape(T.transpose(bias, (2, 0, 1)), (1, heads, t, t))
-        attn = T.add(attn, bias)
-    a = T.softmax_lastdim(attn, mask)
+    # k^T stays a contiguous copy: a view there changes the GEMM's rounding
+    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))
+    a = T.softmax_lastdim(scores, mask, scale=1.0 / np.sqrt(hd), bias=bias)
     out = T.transpose(T.matmul(a, v), (0, 2, 1, 3))
     out = T.reshape(out, (nb, t, c))
     return T.linear(out, ps[prefix + ".proj.w"], ps[prefix + ".proj.b"])
@@ -304,6 +305,13 @@ def encoder_forward(image, spec, plan, ps, mask_token=None):
                 f"mask plan side {plan.side} != token side {spec.enc_input_side}"
             )
         if spec.encoder_variant == "II":
+            d = spec.mask_grid_d
+            kept = plan.keep_indices.size // plan.r ** 2
+            if plan.mode == "window" and kept != (d // 2) ** 2:
+                raise TensorError(
+                    f"variant II: the mask plan keeps {kept} windows; the spec "
+                    f"needs ({d}//2)^2 = {(d // 2) ** 2}"
+                )
             g = kept_window_grid(g, plan)
         else:
             g = apply_mask_tokens(g, plan, mask_token)

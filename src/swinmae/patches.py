@@ -6,6 +6,7 @@ Token layout is row-major everywhere: flat index = row * w_tokens + col.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,14 +146,16 @@ def _shift_region_ids(h, w, side, shift):
     return ids
 
 
+@functools.lru_cache(maxsize=None)
 def shift_attention_mask(h, w, side, shift, dtype=np.float64):
     """[nW, side*side, side*side] additive mask: 0 within a pre-shift region,
-    -inf across regions."""
+    -inf across regions. Built once per geometry and dtype, and read-only."""
     ids = _shift_region_ids(h, w, side, shift)
     ids = ids.reshape(h // side, side, w // side, side)
     ids = ids.transpose(0, 2, 1, 3).reshape(-1, side * side)
-    mask = np.where(ids[:, :, None] == ids[:, None, :], 0.0, -np.inf)
-    return mask.astype(dtype)
+    mask = np.where(ids[:, :, None] == ids[:, None, :], 0.0, -np.inf).astype(dtype)
+    mask.flags.writeable = False
+    return mask
 
 
 def cyclic_shift(g, shift, side):

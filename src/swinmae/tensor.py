@@ -13,6 +13,9 @@ import numpy as np
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
+# elements per pass of the blocked kernels: their scratch stays in cache
+BLOCK = 1 << 15
+
 
 class TensorError(ValueError):
     pass
@@ -110,6 +113,18 @@ def _record(op, inputs, out_data, backward_fn):
     if needs:
         tape.nodes.append(TapeNode(op, inputs, out, backward_fn))
     return out
+
+
+def row_blocks(rows, width, *dtypes):
+    """Yield (lo, hi, bufs) over `rows` rows of `width` elements: [lo, hi)
+    holds whole rows, at most BLOCK elements but at least one row, and `bufs`
+    holds one scratch [hi - lo, width] array per dtype, reused from block to
+    block."""
+    step = max(1, BLOCK // width)
+    bufs = [np.empty((min(step, rows), width), dt) for dt in dtypes]
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        yield lo, hi, [b[: hi - lo] for b in bufs]
 
 
 def _unbroadcast(grad, shape):
@@ -237,6 +252,18 @@ def transpose(a, axes):
     return _record("transpose", (a,), out, bw)
 
 
+def split_heads(x, heads):
+    """[nB, T, C] -> [nB, heads, T, C // heads] as a view of x's data; the
+    gradient comes back contiguous."""
+    nb, t, c = x.shape
+    out = x.data.reshape(nb, t, heads, c // heads).transpose(0, 2, 1, 3)
+
+    def bw(g):
+        return (np.ascontiguousarray(g.transpose(0, 2, 1, 3)).reshape(nb, t, c),)
+
+    return _record("split_heads", (x,), out, bw)
+
+
 def roll(a, shifts, axes):
     shifts = tuple(shifts)
     axes = tuple(axes)
@@ -327,16 +354,23 @@ def linear(x, w, b=None):
 # ------------------------------------------------------------- fused kernels
 
 
-def softmax_lastdim(x, mask=None):
-    """Stable softmax over the last dim; -inf entries map to exact 0.
+def softmax_lastdim(x, mask=None, scale=None, bias=None):
+    """Stable softmax over the last dim of `x * scale + bias + mask`; -inf
+    entries map to exact 0.
 
-    `mask` is a constant additive [nW, T, T] array added to [nB, heads, T, T]
-    scores whose batch index runs over the nW windows fastest; it gets no
-    gradient.
+    `scale` is a constant factor. `bias` is a Tensor broadcast against x; it
+    gets a gradient. `mask` is a constant additive [nW, T, T] array added to
+    [nB, heads, T, T] scores whose batch index runs over the nW windows
+    fastest; it gets no gradient.
     """
     if x.shape[-1] < 1:
         raise TensorError("softmax: empty last dim")
     s = x.data
+    if scale is not None:
+        scale = float(scale)
+        s = s * scale
+    if bias is not None:
+        s = s + bias.data
     if mask is not None:
         nb, heads, t, _ = x.shape
         nw = mask.shape[0]
@@ -350,35 +384,70 @@ def softmax_lastdim(x, mask=None):
 
     def bw(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
+        gs = out * (g - dot)
+        gx = gs if scale is None else gs * scale
+        if bias is None:
+            return (gx,)
+        return gx, _grad(bias, lambda: gs)
 
-    return _record("softmax", (x,), out, bw)
+    inputs = (x,) if bias is None else (x, bias)
+    return _record("softmax", inputs, out, bw)
+
+
+def _xhat(xs, mu, inv, lo, hi, out):
+    """(x - mu) * inv of rows [lo, hi), written into `out`."""
+    np.subtract(xs[lo:hi], mu[lo:hi], out=out)
+    return np.multiply(out, inv[lo:hi], out=out)
 
 
 def layer_norm(x, gamma, beta, eps=1e-6):
-    """Normalize the last dim to zero mean / unit variance, then affine."""
+    """Normalize the last dim to zero mean / unit variance, then affine.
+
+    Forward and backward run BLOCK elements of whole rows at a time."""
     if eps <= 0:
         raise TensorError("layer_norm: eps must be > 0")
     gamma, beta = as_tensor(gamma, like=x), as_tensor(beta, like=x)
-    inv_n = 1.0 / x.shape[-1]
-    mu = x.data.sum(axis=-1, keepdims=True) * inv_n
-    xc = x.data - mu
-    var = (xc * xc).sum(axis=-1, keepdims=True) * inv_n
+    n = x.shape[-1]
+    inv_n = 1.0 / n
+    xs = x.data.reshape(-1, n)
+    rows = xs.shape[0]
+    mu = xs.sum(axis=-1, keepdims=True) * inv_n
+    var = np.empty_like(mu)
+    for lo, hi, (xc,) in row_blocks(rows, n, x.dtype):
+        np.subtract(xs[lo:hi], mu[lo:hi], out=xc)
+        np.multiply(xc, xc, out=xc)
+        np.sum(xc, axis=-1, keepdims=True, out=var[lo:hi])
+    var *= inv_n
     # an overflowing or NaN variance would otherwise vanish into inv = 0
     _check_finite(var, "layer_norm")
     inv = 1.0 / np.sqrt(var + eps)
-    out = xc * inv * gamma.data + beta.data
+    out = np.empty(x.shape, np.result_type(x.data, gamma.data, beta.data))
+    outs = out.reshape(rows, n)
+    for lo, hi, (xh,) in row_blocks(rows, n, x.dtype):
+        _xhat(xs, mu, inv, lo, hi, xh)
+        np.multiply(xh, gamma.data, out=outs[lo:hi])
+        np.add(outs[lo:hi], beta.data, out=outs[lo:hi])
 
     def bw(g):
         # only the per-row mu and inv are kept; xhat is recomputed from x
-        xhat = (x.data - mu) * inv
-        gx = g * gamma.data
-        gx = inv * (
-            gx
-            - gx.sum(axis=-1, keepdims=True) * inv_n
-            - xhat * ((gx * xhat).sum(axis=-1, keepdims=True) * inv_n)
-        )
-        return gx, _unbroadcast(g * xhat, gamma.shape), _unbroadcast(g, beta.shape)
+        xs = x.data.reshape(-1, n)
+        gs = g.reshape(-1, n)
+        g_xhat = np.empty(x.shape, np.result_type(g, x.data))
+        gx = np.empty(x.shape, np.result_type(g, x.data, gamma.data))
+        g_xhats, gxs = g_xhat.reshape(rows, n), gx.reshape(rows, n)
+        for lo, hi, (xh, a, b) in row_blocks(rows, n, x.dtype, gx.dtype, gx.dtype):
+            _xhat(xs, mu, inv, lo, hi, xh)
+            np.multiply(gs[lo:hi], xh, out=g_xhats[lo:hi])
+            # gx = inv * (a - mean(a) - xhat * mean(a * xhat)), a = g * gamma
+            np.multiply(gs[lo:hi], gamma.data, out=a)
+            s1 = a.sum(axis=-1, keepdims=True) * inv_n
+            np.multiply(a, xh, out=b)
+            s2 = b.sum(axis=-1, keepdims=True) * inv_n
+            np.multiply(xh, s2, out=b)
+            np.subtract(a, s1, out=a)
+            np.subtract(a, b, out=a)
+            np.multiply(inv[lo:hi], a, out=gxs[lo:hi])
+        return gx, _unbroadcast(g_xhat, gamma.shape), _unbroadcast(g, beta.shape)
 
     return _record("layer_norm", (x, gamma, beta), out, bw)
 
@@ -387,22 +456,58 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def _gelu_tanh(x, cube):
-    return np.tanh((x + cube * _GELU_A) * _GELU_C)
+def _gelu_tanh(x, cube, out):
+    """tanh((x + cube * A) * C) written into `out`, which may be `cube`."""
+    np.multiply(cube, _GELU_A, out=out)
+    np.add(x, out, out=out)
+    np.multiply(out, _GELU_C, out=out)
+    return np.tanh(out, out=out)
 
 
 def gelu(x):
-    """tanh-approximation GELU."""
-    cube = x.data * x.data * x.data
-    # the cubic term overflows long before the output does
-    _check_finite(cube, "gelu")
-    out = x.data * 0.5 * (_gelu_tanh(x.data, cube) + 1.0)
+    """tanh-approximation GELU, BLOCK elements at a time."""
+    xs = x.data.reshape(-1, 1)
+    out = np.empty(x.shape, x.dtype)
+    outs = out.reshape(-1, 1)
+    for lo, hi, (c,) in row_blocks(xs.shape[0], 1, x.dtype):
+        xb, ob = xs[lo:hi], outs[lo:hi]
+        np.multiply(xb, xb, out=c)
+        np.multiply(c, xb, out=c)
+        # the cubic term overflows long before the output does; the whole
+        # cube is checked so that a NaN in any block names the error
+        if not np.isfinite(c).all():
+            _check_finite(x.data * x.data * x.data, "gelu")
+        _gelu_tanh(xb, c, out=c)
+        np.add(c, 1.0, out=c)
+        np.multiply(xb, 0.5, out=ob)
+        np.multiply(ob, c, out=ob)
 
     def bw(g):
         # nothing full-size is kept; tanh is recomputed from x
-        t = _gelu_tanh(x.data, x.data * x.data * x.data)
-        dt = (1.0 - t * t) * (_GELU_C * (1.0 + 3.0 * _GELU_A * (x.data * x.data)))
-        return (g * (0.5 * (t + 1.0) + 0.5 * x.data * dt),)
+        xs = x.data.reshape(-1, 1)
+        gs = g.reshape(-1, 1)
+        gx = np.empty(x.shape, np.result_type(g, x.data))
+        gxs = gx.reshape(-1, 1)
+        for lo, hi, (t, dt, h) in row_blocks(xs.shape[0], 1, x.dtype, x.dtype, x.dtype):
+            xb = xs[lo:hi]
+            np.multiply(xb, xb, out=dt)
+            np.multiply(dt, xb, out=t)
+            _gelu_tanh(xb, t, out=t)
+            # dt = (1 - t * t) * (C * (1 + 3 * A * x * x))
+            np.multiply(dt, 3.0 * _GELU_A, out=dt)
+            np.add(dt, 1.0, out=dt)
+            np.multiply(dt, _GELU_C, out=dt)
+            np.multiply(t, t, out=h)
+            np.subtract(1.0, h, out=h)
+            np.multiply(h, dt, out=dt)
+            # g * (0.5 * (t + 1) + 0.5 * x * dt)
+            np.multiply(xb, 0.5, out=h)
+            np.multiply(h, dt, out=h)
+            np.add(t, 1.0, out=t)
+            np.multiply(t, 0.5, out=t)
+            np.add(t, h, out=t)
+            np.multiply(gs[lo:hi], t, out=gxs[lo:hi])
+        return (gx,)
 
     return _record("gelu", (x,), out, bw)
 

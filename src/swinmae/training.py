@@ -42,14 +42,15 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 class Adam:
     """Adam with the standard BETA1, BETA2 and EPS. Updates iterate parameters
     in lexicographic name order, so two runs with identical seeds produce
-    bit-identical states.
+    bit-identical states. Each parameter is updated T.BLOCK elements at a
+    time, in place.
     """
 
     def __init__(self, params):
         self.params = params
         self.step_count = 0
-        self.m = {n: np.zeros_like(p.data) for n, p in params.items()}
-        self.v = {n: np.zeros_like(p.data) for n, p in params.items()}
+        self.m = {n: np.zeros(p.shape, p.dtype) for n, p in params.items()}
+        self.v = {n: np.zeros(p.shape, p.dtype) for n, p in params.items()}
 
     def step(self, lr):
         self.step_count += 1
@@ -60,13 +61,28 @@ class Adam:
             g = p.grad
             if g is None:
                 continue
-            m = self.m[name]
-            v = self.v[name]
-            m *= BETA1
-            m += (1.0 - BETA1) * g
-            v *= BETA2
-            v += (1.0 - BETA2) * g * g
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+            if not p.data.flags.c_contiguous:
+                p.data = np.ascontiguousarray(p.data)
+            # flat [N, 1] views: p.data, m and v are updated through them
+            ps, ms, vs, gs = (
+                a.reshape(-1, 1) for a in (p.data, self.m[name], self.v[name], g)
+            )
+            for lo, hi, (a, b) in T.row_blocks(ps.shape[0], 1, p.dtype, p.dtype):
+                m, v, gb = ms[lo:hi], vs[lo:hi], gs[lo:hi]
+                # m = BETA1 * m + (1 - BETA1) * g
+                m *= BETA1
+                m += np.multiply(gb, 1.0 - BETA1, out=a)
+                # v = BETA2 * v + (1 - BETA2) * g * g
+                v *= BETA2
+                np.multiply(gb, 1.0 - BETA2, out=a)
+                v += np.multiply(a, gb, out=a)
+                # p -= lr * (m / bc1) / (sqrt(v / bc2) + EPS)
+                np.divide(m, bc1, out=a)
+                a *= lr
+                np.divide(v, bc2, out=b)
+                np.sqrt(b, out=b)
+                b += EPS
+                ps[lo:hi] -= np.divide(a, b, out=a)
 
     def zero_grad(self):
         self.params.zero_grad()

@@ -5,9 +5,10 @@ import swinmae.tensor as T
 from swinmae.tensor import Tape, Tensor, TensorError
 from swinmae.patches import PatchSpec, TokenGrid, flatten_patches, unflatten_patches
 from swinmae.masking import build_mask_plan, split_rng
+from swinmae import patches as P
 from swinmae.model import (
-    ModelSpec, SwinMae, desk_spec, masked_mse_loss, pixel_mask,
-    swin_block_forward, _init_block,
+    ModelSpec, SwinMae, attention, desk_spec, masked_mse_loss, pixel_mask,
+    relative_position_index, swin_block_forward, _init_block,
 )
 from swinmae.segmentation import SwinUnet, SwinUnetSpec
 from swinmae.tensor import ParamStore
@@ -162,6 +163,19 @@ def test_variant2_rejects_a_random_mode_plan():
         model.loss(img, plan)
 
 
+def test_variant2_rejects_a_plan_with_another_kept_window_count():
+    # a plan drawn at another ratio keeps 3x3 of the 8x8 windows; the stages
+    # run on the 4x4 grid of kept windows
+    spec = desk_spec(encoder_variant="II", decoder_variant="VIT", use_abs_pos_embed=True)
+    model = SwinMae(spec, seed=0)
+    plan = build_mask_plan(
+        spec.mask_grid_d, spec.mask_window_r, 1 - 9 / 64 - 1e-9, split_rng(0, 1)
+    )
+    img = Tensor(np.random.default_rng(2).random((1, 3, 32, 32)))
+    with pytest.raises(TensorError, match=r"keeps 9 windows; the spec needs \(8//2\)\^2 = 16"):
+        model.loss(img, plan)
+
+
 def test_full_scale_dry_run_shapes():
     kw = dict(
         image=PatchSpec(224, 224, 3, 4), encoder_variant="III",
@@ -294,10 +308,12 @@ def tiny_model(dtype=np.float32):
 
 def test_desk_loss_tape_node_count():
     """LayerNorm, GELU and each linear layer (matmul with its bias) are one
-    tape node each: 18 LN + 7 GELU calls at depth 1. At depth 2 the shift
-    mask is applied inside the softmax, so a shifted block records no node
-    for it. A B=16 f32 desk loss keeps 10804776 bytes of node outputs."""
-    for depths, nodes in (((1, 1, 1, 1), 286), ((2, 2, 2, 2), 555)):
+    tape node each: 18 LN + 7 GELU calls at depth 1. The softmax applies the
+    score scale, the relative bias and (at depth 2, in shifted blocks) the
+    shift mask in its one node, and each head split is one node. A B=16 f32
+    desk loss has 9919784 bytes of node outputs, counting the q/k/v head
+    splits, which are views."""
+    for depths, nodes in (((1, 1, 1, 1), 251), ((2, 2, 2, 2), 485)):
         spec = desk_spec(stage_depths=depths)
         model = SwinMae(spec, seed=0)
         plan = build_mask_plan(
@@ -314,7 +330,7 @@ def test_desk_loss_tape_node_count():
     image = Tensor(split_rng(0, 2).random((16, 3, 32, 32)), dtype=np.float32)
     with Tape() as tape:
         model.loss(image, plan)
-    assert sum(n.output.data.nbytes for n in tape.nodes) == 10804776
+    assert sum(n.output.data.nbytes for n in tape.nodes) == 9919784
 
 
 @pytest.mark.parametrize("width", [0, 24])
@@ -444,3 +460,32 @@ def test_parameter_grad_check_sample():
             flat[i] = orig
             num = (fp - fm) / (2 * h)
             assert abs(analytic[i] - num) / max(1.0, abs(analytic[i])) < 1e-4, name
+
+
+def test_attention_records_no_scale_or_add_node_and_splits_heads_as_views():
+    """Scale and relative bias go into the softmax node, and q, k and v are
+    views of their projections: no score- or activation-sized copies."""
+    ps = block_params(4, 2, 2)
+    xw = Tensor(np.random.default_rng(3).standard_normal((8, 4, 4)), requires_grad=True)
+    with Tape() as tape:
+        attention(
+            xw, ps, "blk.attn", 2, relative_position_index(2),
+            P.shift_attention_mask(4, 4, 2, 1),
+        )
+    ops = [n.op for n in tape.nodes]
+    assert "scale" not in ops and "add" not in ops
+    assert [(n.op, len(n.inputs)) for n in tape.nodes if n.op == "softmax"] == [("softmax", 2)]
+    splits = [n for n in tape.nodes if n.op == "split_heads"]
+    assert len(splits) == 3
+    for n in splits:
+        assert np.shares_memory(n.output.data, n.inputs[0].data)
+
+
+def test_window_geometry_is_built_once_and_read_only():
+    for build in (
+        lambda: relative_position_index(3),
+        lambda: P.shift_attention_mask(6, 6, 3, 1, np.dtype(np.float32)),
+    ):
+        a = build()
+        assert build() is a
+        assert not a.flags.writeable

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -388,3 +390,157 @@ def test_param_store_lexicographic_and_unique():
     assert ps.names() == ["a", "b"]
     with pytest.raises(TensorError, match="duplicate"):
         ps.add("a", Tensor([3.0]))
+
+
+# ------------------------------------------------------------ blocked kernels
+
+# The unblocked formulas the kernels replaced, kept as bit-exact oracles.
+_GELU_C, _GELU_A = math.sqrt(2.0 / math.pi), 0.044715
+SIZES = [1, T.BLOCK - 1, T.BLOCK, 3 * T.BLOCK + 7]
+
+
+def gelu_oracle(x, g):
+    cube = x * x * x
+    out = x * 0.5 * (np.tanh((x + cube * _GELU_A) * _GELU_C) + 1.0)
+    t = np.tanh((x + x * x * x * _GELU_A) * _GELU_C)
+    dt = (1.0 - t * t) * (_GELU_C * (1.0 + 3.0 * _GELU_A * (x * x)))
+    return out, g * (0.5 * (t + 1.0) + 0.5 * x * dt)
+
+
+def layer_norm_oracle(x, gamma, beta, g, eps=1e-6):
+    inv_n = 1.0 / x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) * inv_n
+    xc = x - mu
+    var = (xc * xc).sum(axis=-1, keepdims=True) * inv_n
+    inv = 1.0 / np.sqrt(var + eps)
+    out = xc * inv * gamma + beta
+    xhat = (x - mu) * inv
+    gx = g * gamma
+    gx = inv * (
+        gx
+        - gx.sum(axis=-1, keepdims=True) * inv_n
+        - xhat * ((gx * xhat).sum(axis=-1, keepdims=True) * inv_n)
+    )
+    lead = tuple(range(x.ndim - 1))
+    return out, gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+
+
+def run_op(f, x, g, *params):
+    """Output and every gradient of f at x, with `g` as the output gradient."""
+    x = Tensor(x, requires_grad=True)
+    params = [Tensor(p, requires_grad=True) for p in params]
+    with Tape() as tape:
+        y = f(x, *params)
+    assert len(tape.nodes) == 1
+    grads = tape.nodes[0].backward_fn(g)
+    return [y.data, *grads]
+
+
+def assert_bits_equal(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("size", SIZES)
+def test_blocked_gelu_bit_identical_to_oracle(size, dtype):
+    rng = np.random.default_rng(size)
+    x = (rng.standard_normal(size) * 3.0).astype(dtype)
+    g = rng.standard_normal(size).astype(dtype)
+    assert_bits_equal(run_op(lambda t: T.gelu(t), x, g), gelu_oracle(x, g))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "shape",
+    # widths 1, 48 (which does not divide BLOCK) and one wider than a block;
+    # row counts put the total at 1, BLOCK - 1, BLOCK and 3 * BLOCK + 7
+    [(1, 1), (T.BLOCK - 1, 1), (T.BLOCK, 1), (3 * T.BLOCK + 7, 1),
+     (1, 48), (T.BLOCK // 48, 48), (2, 16, 48), (2 * T.BLOCK // 48 + 5, 48),
+     (3, T.BLOCK + 5)],
+)
+def test_blocked_layer_norm_bit_identical_to_oracle(shape, dtype):
+    rng = np.random.default_rng(sum(shape))
+    x, g = (rng.standard_normal(shape).astype(dtype) for _ in range(2))
+    x += 2.0
+    gamma, beta = (rng.standard_normal(shape[-1]).astype(dtype) for _ in range(2))
+    got = run_op(lambda t, gm, bt: T.layer_norm(t, gm, bt), x, g, gamma, beta)
+    assert_bits_equal(got, layer_norm_oracle(x, gamma, beta, g))
+
+
+def test_blocked_layer_norm_mixed_dtypes_match_oracle():
+    """An f64 input through f32 gamma and beta, as when an f32 model is fed an
+    f64 image, promotes exactly as the unblocked formulas do."""
+    rng = np.random.default_rng(21)
+    x, g = (rng.standard_normal((T.BLOCK // 32 + 3, 96)) for _ in range(2))
+    gamma, beta = (rng.standard_normal(96).astype(np.float32) for _ in range(2))
+    got = run_op(lambda t, gm, bt: T.layer_norm(t, gm, bt), x, g, gamma, beta)
+    assert_bits_equal(got, layer_norm_oracle(x, gamma, beta, g))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blocked_kernels_raise_for_a_bad_value_in_a_later_block(dtype):
+    """The message is the one a check of the whole array gives: NaN anywhere
+    wins over an overflow in an earlier block."""
+    big = 1e30 if dtype == np.float32 else 1e200
+    x = np.ones(3 * T.BLOCK + 7, dtype)
+    x[2 * T.BLOCK + 3] = big
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TensorError, match="gelu: non-finite value"):
+            T.gelu(Tensor(x))
+        x[3 * T.BLOCK + 1] = np.nan
+        with pytest.raises(TensorError, match="gelu: NaN"):
+            T.gelu(Tensor(x))
+        rows = np.ones((3 * T.BLOCK // 48 + 7, 48), dtype)
+        rows[-3, :2] = (big, -big)
+        with pytest.raises(TensorError, match="layer_norm: non-finite value"):
+            T.layer_norm(Tensor(rows), np.ones(48), np.zeros(48))
+        rows[-1, 0] = np.nan
+        with pytest.raises(TensorError, match="layer_norm: NaN"):
+            T.layer_norm(Tensor(rows), np.ones(48), np.zeros(48))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_scale_and_bias_match_separate_nodes(dtype):
+    """Scale, relative bias and shift mask inside the softmax node give the
+    bits of a scale node and an add node in front of it."""
+    rng = np.random.default_rng(22)
+    mask = shift_attention_mask(4, 4, 2, 1, dtype)
+    scores = rng.standard_normal((2 * 4, 3, 4, 4)).astype(dtype)
+    bias = rng.standard_normal((1, 3, 4, 4)).astype(dtype)
+    g = rng.standard_normal(scores.shape).astype(dtype)
+    runs = []
+    for fused in (True, False):
+        x, b = Tensor(scores, requires_grad=True), Tensor(bias, requires_grad=True)
+        with Tape() as tape:
+            if fused:
+                y = T.softmax_lastdim(x, mask, scale=0.5 ** 0.5, bias=b)
+            else:
+                y = T.softmax_lastdim(T.add(T.scale(x, 0.5 ** 0.5), b), mask)
+            loss = T.sum_(T.mul(y, Tensor(g)))
+        T.backward(loss, tape)
+        runs.append(([n.op for n in tape.nodes], [y.data, x.grad, b.grad]))
+    assert runs[0][0] == ["softmax", "mul", "sum"]
+    assert_bits_equal(runs[0][1], runs[1][1])
+
+
+def test_split_heads_is_a_view_with_the_gradient_of_reshape_and_transpose():
+    rng = np.random.default_rng(23)
+    data = rng.standard_normal((3, 5, 8))
+    w = Tensor(rng.standard_normal((3, 2, 5, 4)))
+    runs = []
+    for f in (
+        lambda t: T.split_heads(t, 2),
+        lambda t: T.transpose(T.reshape(t, (3, 5, 2, 4)), (0, 2, 1, 3)),
+    ):
+        x = Tensor(data.copy(), requires_grad=True)
+        with Tape() as tape:
+            y = f(x)
+            loss = T.sum_(T.mul(y, w))
+        T.backward(loss, tape)
+        runs.append((x, y))
+    (x, y), (_, want) = runs
+    assert np.shares_memory(y.data, x.data)
+    assert x.grad.flags.c_contiguous
+    assert_bits_equal([y.data, x.grad], [want.data, runs[1][0].grad])

@@ -9,7 +9,7 @@ from swinmae.tensor import ParamStore, Tensor, TensorError
 from swinmae.masking import build_mask_plan, split_rng
 from swinmae.model import SwinMae, desk_spec
 from swinmae.training import (
-    Adam, CheckpointError, ScheduleConfig, cosine_lr, load_checkpoint,
+    BETA1, BETA2, EPS, Adam, CheckpointError, ScheduleConfig, cosine_lr, load_checkpoint,
     load_params_strict, run_pretraining, save_checkpoint, train_step,
     write_loss_csv,
 )
@@ -132,6 +132,38 @@ def test_adam_skips_params_without_grad():
     opt.step(0.1)
     np.testing.assert_array_equal(ps["frozen"].data, np.ones(2))
     assert not np.allclose(ps["used"].data, np.ones(2))
+
+
+def adam_oracle(p, m, v, g, lr, t):
+    """The unblocked update the blocked Adam replaced, in place."""
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * g * g
+    p -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "shape", [(1,), (T.BLOCK - 1,), (T.BLOCK,), (3 * T.BLOCK + 7,), (7, T.BLOCK // 5)]
+)
+def test_blocked_adam_bit_identical_to_oracle(shape, dtype):
+    rng = np.random.default_rng(shape[0])
+    init = rng.standard_normal(shape).astype(dtype)
+    ps = ParamStore()
+    ps.add("w", Tensor(init.copy()))
+    opt = Adam(ps)
+    p, m, v = init.copy(), np.zeros(shape, dtype), np.zeros(shape, dtype)
+    for t, lr in enumerate((1e-2, 3e-3, 1e-3), start=1):
+        g = rng.standard_normal(shape).astype(dtype)
+        ps["w"].grad = g.copy()
+        opt.step(lr)
+        adam_oracle(p, m, v, g, lr, t)
+    for got, want in ((ps["w"].data, p), (opt.m["w"], m), (opt.v["w"], v)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------------- checkpoints
