@@ -223,11 +223,10 @@ def attention(xw, ps, prefix, heads, rel_index=None, mask=None):
     """Multi-head self-attention over [nB, T, C] sequences.
 
     `rel_index` selects rows of the learned relative-bias table; `mask` is a
-    constant additive [nW, T, T] array (-inf across regions). The softmax
-    applies the score scale, the bias and the mask in its one node.
+    constant additive [nW, T, T] array (-inf across regions). The attention
+    core from the head splits to the head merge is one tape node.
     """
-    nb, t, c = xw.shape
-    hd = c // heads
+    _, t, c = xw.shape
     q, k, v = (
         T.split_heads(T.linear(xw, ps[f"{prefix}.{nm}.w"], ps[f"{prefix}.{nm}.b"]), heads)
         for nm in ("wq", "wk", "wv")
@@ -237,11 +236,7 @@ def attention(xw, ps, prefix, heads, rel_index=None, mask=None):
         bias = T.gather(ps[prefix + ".rel_table"], rel_index, axis=0)
         bias = T.reshape(bias, (t, t, heads))
         bias = T.reshape(T.transpose(bias, (2, 0, 1)), (1, heads, t, t))
-    # k^T stays a contiguous copy: a view there changes the GEMM's rounding
-    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))
-    a = T.softmax_lastdim(scores, mask, scale=1.0 / np.sqrt(hd), bias=bias)
-    out = T.transpose(T.matmul(a, v), (0, 2, 1, 3))
-    out = T.reshape(out, (nb, t, c))
+    out = T.window_attention(q, k, v, mask, scale=1.0 / np.sqrt(c // heads), bias=bias)
     return T.linear(out, ps[prefix + ".proj.w"], ps[prefix + ".proj.b"])
 
 
@@ -268,8 +263,7 @@ def swin_block_forward(g, ps, prefix, heads, window, shifted):
         xg = P.cyclic_unshift(xg, shift)
     x = T.add(shortcut, xg.data)
     h = T.layer_norm(x, ps[prefix + ".norm2.g"], ps[prefix + ".norm2.b"])
-    h = T.gelu(T.linear(h, ps[prefix + ".mlp.fc1.w"], ps[prefix + ".mlp.fc1.b"]))
-    h = T.linear(h, ps[prefix + ".mlp.fc2.w"], ps[prefix + ".mlp.fc2.b"])
+    h = T.mlp(h, *(ps[f"{prefix}.mlp.{nm}"] for nm in ("fc1.w", "fc1.b", "fc2.w", "fc2.b")))
     x = T.add(x, h)
     return TokenGrid(g.batch, g.h_tokens, g.w_tokens, g.dim, x)
 

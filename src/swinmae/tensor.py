@@ -318,6 +318,20 @@ def mean(a, axis=None, keepdims=False):
 # ------------------------------------------------------------------- matmul
 
 
+def _matmul_grads(a, b, g, need_a, need_b):
+    """Gradients of the arrays a @ b for the output gradient g; None where
+    not needed."""
+    ga = _unbroadcast(g @ np.swapaxes(b, -1, -2), a.shape) if need_a else None
+    if not need_b:
+        gb = None
+    elif b.ndim == 2 and a.ndim > 2:
+        # one GEMM over the flattened batch; no [B, C, D] stack to sum
+        gb = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, b.shape[-1])
+    else:
+        gb = _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
+    return ga, gb
+
+
 def matmul(a, b, bias=None):
     """a @ b, plus `bias` added in place on the fresh product: one tape node."""
     if a.data.ndim < 2 or b.data.ndim < 2:
@@ -332,13 +346,7 @@ def matmul(a, b, bias=None):
 
     def bw(g):
         # an operand that needs no gradient (an input image) gets none
-        ga = _grad(a, lambda: g @ np.swapaxes(b.data, -1, -2))
-        if b.requires_grad and b.data.ndim == 2 and a.data.ndim > 2:
-            # one GEMM over the flattened batch; no [B, C, D] stack to sum
-            c = a.shape[-1]
-            gb = a.data.reshape(-1, c).T @ g.reshape(-1, b.shape[-1])
-        else:
-            gb = _grad(b, lambda: np.swapaxes(a.data, -1, -2) @ g)
+        ga, gb = _matmul_grads(a.data, b.data, g, a.requires_grad, b.requires_grad)
         if bias is None:
             return ga, gb
         return ga, gb, _grad(bias, lambda: g)
@@ -354,6 +362,34 @@ def linear(x, w, b=None):
 # ------------------------------------------------------------- fused kernels
 
 
+def _softmax(x, mask, scale, bias):
+    """softmax_lastdim's forward on arrays; `bias` is an array or None."""
+    s = x
+    if scale is not None:
+        s = s * scale
+    if bias is not None:
+        s = s + bias
+    if mask is not None:
+        nb, heads, t, _ = x.shape
+        nw = mask.shape[0]
+        s = (s.reshape(nb // nw, nw, heads, t, t) + mask[None, :, None]).reshape(x.shape)
+    m = np.max(s, axis=-1, keepdims=True)
+    if np.isneginf(m).any():
+        raise TensorError("softmax: row with all entries masked (-inf)")
+    z = s - m
+    e = np.where(np.isneginf(z), 0.0, np.exp(z))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grads(out, g, scale, bias):
+    """Gradients of the scores and of the bias Tensor (None without one) for
+    the gradient g of the softmax output `out`."""
+    dot = (g * out).sum(axis=-1, keepdims=True)
+    gs = out * (g - dot)
+    gx = gs if scale is None else gs * scale
+    return gx, None if bias is None else _grad(bias, lambda: gs)
+
+
 def softmax_lastdim(x, mask=None, scale=None, bias=None):
     """Stable softmax over the last dim of `x * scale + bias + mask`; -inf
     entries map to exact 0.
@@ -365,33 +401,42 @@ def softmax_lastdim(x, mask=None, scale=None, bias=None):
     """
     if x.shape[-1] < 1:
         raise TensorError("softmax: empty last dim")
-    s = x.data
-    if scale is not None:
-        scale = float(scale)
-        s = s * scale
-    if bias is not None:
-        s = s + bias.data
-    if mask is not None:
-        nb, heads, t, _ = x.shape
-        nw = mask.shape[0]
-        s = (s.reshape(nb // nw, nw, heads, t, t) + mask[None, :, None]).reshape(x.shape)
-    m = np.max(s, axis=-1, keepdims=True)
-    if np.isneginf(m).any():
-        raise TensorError("softmax: row with all entries masked (-inf)")
-    z = s - m
-    e = np.where(np.isneginf(z), 0.0, np.exp(z))
-    out = e / e.sum(axis=-1, keepdims=True)
+    scale = None if scale is None else float(scale)
+    out = _softmax(x.data, mask, scale, None if bias is None else bias.data)
 
     def bw(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        gs = out * (g - dot)
-        gx = gs if scale is None else gs * scale
-        if bias is None:
-            return (gx,)
-        return gx, _grad(bias, lambda: gs)
+        gx, gb = _softmax_grads(out, g, scale, bias)
+        return (gx,) if bias is None else (gx, gb)
 
     inputs = (x,) if bias is None else (x, bias)
     return _record("softmax", inputs, out, bw)
+
+
+def window_attention(q, k, v, mask, scale, bias=None):
+    """softmax(q @ k^T * scale + bias + mask) @ v over [nB, heads, T, hd]
+    heads, merged into [nB, T, heads * hd]. One tape node, bit-exact with the
+    k^T copy, matmuls, softmax_lastdim and head merge it replaces; it keeps
+    only the attention weights, and backward rebuilds k^T as the same
+    contiguous copy (a view there changes the GEMM's rounding)."""
+    nb, heads, t, hd = q.shape
+    scale = float(scale)
+    scores = q.data @ np.ascontiguousarray(k.data.transpose(0, 1, 3, 2))
+    _check_finite(scores, "attention")
+    a = _softmax(scores, mask, scale, None if bias is None else bias.data)
+    del scores
+    out = np.ascontiguousarray((a @ v.data).transpose(0, 2, 1, 3)).reshape(nb, t, heads * hd)
+
+    def bw(g):
+        gp = np.ascontiguousarray(g.reshape(nb, t, heads, hd).transpose(0, 2, 1, 3))
+        ga, gv = _matmul_grads(a, v.data, gp, True, v.requires_grad)
+        gs, gb = _softmax_grads(a, ga, scale, bias)
+        kt = np.ascontiguousarray(k.data.transpose(0, 1, 3, 2))
+        gq, gkt = _matmul_grads(q.data, kt, gs, q.requires_grad, k.requires_grad)
+        gk = None if gkt is None else np.ascontiguousarray(gkt.transpose(0, 1, 3, 2))
+        return (gq, gk, gv) if bias is None else (gq, gk, gv, gb)
+
+    inputs = (q, k, v) if bias is None else (q, k, v, bias)
+    return _record("attention", inputs, out, bw)
 
 
 def _xhat(xs, mu, inv, lo, hi, out):
@@ -464,11 +509,10 @@ def _gelu_tanh(x, cube, out):
     return np.tanh(out, out=out)
 
 
-def gelu(x):
-    """tanh-approximation GELU, BLOCK elements at a time."""
-    xs = x.data.reshape(-1, 1)
-    out = np.empty(x.shape, x.dtype)
-    outs = out.reshape(-1, 1)
+def _gelu_into(x, out, op):
+    """GELU of the array x written into `out`, BLOCK elements at a time; an
+    overflowing cube raises an error naming `op`."""
+    xs, outs = x.reshape(-1, 1), out.reshape(-1, 1)
     for lo, hi, (c,) in row_blocks(xs.shape[0], 1, x.dtype):
         xb, ob = xs[lo:hi], outs[lo:hi]
         np.multiply(xb, xb, out=c)
@@ -476,40 +520,77 @@ def gelu(x):
         # the cubic term overflows long before the output does; the whole
         # cube is checked so that a NaN in any block names the error
         if not np.isfinite(c).all():
-            _check_finite(x.data * x.data * x.data, "gelu")
+            _check_finite(x * x * x, op)
         _gelu_tanh(xb, c, out=c)
         np.add(c, 1.0, out=c)
         np.multiply(xb, 0.5, out=ob)
         np.multiply(ob, c, out=ob)
+    return out
+
+
+def _gelu_grad(x, g, gx, y=None):
+    """g * GELU'(x) written into `gx`, which may be g, BLOCK elements at a
+    time. Nothing full-size is kept: tanh is recomputed from x. Given `y`,
+    the same pass writes the GELU output into it, bit for bit."""
+    xs, gs, gxs = x.reshape(-1, 1), g.reshape(-1, 1), gx.reshape(-1, 1)
+    ys = None if y is None else y.reshape(-1, 1)
+    for lo, hi, (t, dt, h) in row_blocks(xs.shape[0], 1, x.dtype, x.dtype, x.dtype):
+        xb = xs[lo:hi]
+        np.multiply(xb, xb, out=dt)
+        np.multiply(dt, xb, out=t)
+        _gelu_tanh(xb, t, out=t)
+        # dt = (1 - t * t) * (C * (1 + 3 * A * x * x))
+        np.multiply(dt, 3.0 * _GELU_A, out=dt)
+        np.add(dt, 1.0, out=dt)
+        np.multiply(dt, _GELU_C, out=dt)
+        np.multiply(t, t, out=h)
+        np.subtract(1.0, h, out=h)
+        np.multiply(h, dt, out=dt)
+        # g * (0.5 * (t + 1) + 0.5 * x * dt)
+        np.multiply(xb, 0.5, out=h)
+        np.add(t, 1.0, out=t)
+        if ys is not None:
+            np.multiply(h, t, out=ys[lo:hi])
+        np.multiply(h, dt, out=h)
+        np.multiply(t, 0.5, out=t)
+        np.add(t, h, out=t)
+        np.multiply(gs[lo:hi], t, out=gxs[lo:hi])
+    return gx
+
+
+def gelu(x):
+    """tanh-approximation GELU, BLOCK elements at a time."""
+    out = _gelu_into(x.data, np.empty(x.shape, x.dtype), "gelu")
 
     def bw(g):
-        # nothing full-size is kept; tanh is recomputed from x
-        xs = x.data.reshape(-1, 1)
-        gs = g.reshape(-1, 1)
-        gx = np.empty(x.shape, np.result_type(g, x.data))
-        gxs = gx.reshape(-1, 1)
-        for lo, hi, (t, dt, h) in row_blocks(xs.shape[0], 1, x.dtype, x.dtype, x.dtype):
-            xb = xs[lo:hi]
-            np.multiply(xb, xb, out=dt)
-            np.multiply(dt, xb, out=t)
-            _gelu_tanh(xb, t, out=t)
-            # dt = (1 - t * t) * (C * (1 + 3 * A * x * x))
-            np.multiply(dt, 3.0 * _GELU_A, out=dt)
-            np.add(dt, 1.0, out=dt)
-            np.multiply(dt, _GELU_C, out=dt)
-            np.multiply(t, t, out=h)
-            np.subtract(1.0, h, out=h)
-            np.multiply(h, dt, out=dt)
-            # g * (0.5 * (t + 1) + 0.5 * x * dt)
-            np.multiply(xb, 0.5, out=h)
-            np.multiply(h, dt, out=h)
-            np.add(t, 1.0, out=t)
-            np.multiply(t, 0.5, out=t)
-            np.add(t, h, out=t)
-            np.multiply(gs[lo:hi], t, out=gxs[lo:hi])
-        return (gx,)
+        return (_gelu_grad(x.data, g, np.empty(x.shape, np.result_type(g, x.data))),)
 
     return _record("gelu", (x,), out, bw)
+
+
+def mlp(x, w1, b1, w2, b2):
+    """GELU(x @ w1 + b1) @ w2 + b2 in one tape node, bit-exact with the two
+    linear nodes and the GELU node it replaces. It keeps only the fc1
+    pre-activation; backward rebuilds the GELU output in the pass that takes
+    the GELU derivative."""
+    pre = x.data @ w1.data
+    pre += b1.data
+    out = _gelu_into(pre, np.empty(pre.shape, pre.dtype), "mlp") @ w2.data
+    out += b2.data
+
+    def bw(g):
+        # fc2's input gradient now, its weight gradient once h is rebuilt
+        gh, _ = _matmul_grads(pre, w2.data, g, True, False)
+        # the GELU gradient is written over gh, so it takes pre's width
+        gh = gh.astype(np.result_type(gh, pre), copy=False)
+        h = np.empty(pre.shape, pre.dtype)
+        _gelu_grad(pre, gh, gh, h)
+        _, gw2 = _matmul_grads(h, w2.data, g, False, w2.requires_grad)
+        del h
+        gx, gw1 = _matmul_grads(x.data, w1.data, gh, x.requires_grad, w1.requires_grad)
+        return gx, gw1, _grad(b1, lambda: gh), gw2, _grad(b2, lambda: g)
+
+    return _record("mlp", (x, w1, b1, w2, b2), out, bw)
 
 
 def softmax_cross_entropy(logits, labels):

@@ -307,13 +307,13 @@ def tiny_model(dtype=np.float32):
 
 
 def test_desk_loss_tape_node_count():
-    """LayerNorm, GELU and each linear layer (matmul with its bias) are one
-    tape node each: 18 LN + 7 GELU calls at depth 1. The softmax applies the
-    score scale, the relative bias and (at depth 2, in shifted blocks) the
-    shift mask in its one node, and each head split is one node. A B=16 f32
-    desk loss has 9919784 bytes of node outputs, counting the q/k/v head
-    splits, which are views."""
-    for depths, nodes in (((1, 1, 1, 1), 251), ((2, 2, 2, 2), 485)):
+    """LayerNorm, the MLP and each linear layer (matmul with its bias) are one
+    tape node each: 18 LN + 7 MLP calls at depth 1. The attention core from
+    the head splits to the head merge, with the score scale, the relative
+    bias and (at depth 2, in shifted blocks) the shift mask, is one node, and
+    each head split is one node. A B=16 f32 desk loss has 7134248 bytes of
+    node outputs, counting the q/k/v head splits, which are views."""
+    for depths, nodes in (((1, 1, 1, 1), 202), ((2, 2, 2, 2), 387)):
         spec = desk_spec(stage_depths=depths)
         model = SwinMae(spec, seed=0)
         plan = build_mask_plan(
@@ -330,7 +330,45 @@ def test_desk_loss_tape_node_count():
     image = Tensor(split_rng(0, 2).random((16, 3, 32, 32)), dtype=np.float32)
     with Tape() as tape:
         model.loss(image, plan)
-    assert sum(n.output.data.nbytes for n in tape.nodes) == 9919784
+    assert sum(n.output.data.nbytes for n in tape.nodes) == 7134248
+
+
+def tape_owned_bytes(tape):
+    """Bytes of the arrays the tape keeps alive: node outputs and the arrays
+    backward closures hold, each view's base counted once. The read-only
+    cached window geometry is shared, not owned."""
+    owned = {}
+    for n in tape.nodes:
+        held = [c.cell_contents for c in n.backward_fn.__closure__ or ()]
+        for a in [n.output.data] + [v for v in held if isinstance(v, np.ndarray)]:
+            while isinstance(a.base, np.ndarray):
+                a = a.base
+            if a.flags.writeable:
+                owned[id(a)] = a.nbytes
+    return sum(owned.values())
+
+
+def test_desk_tape_keeps_no_gelu_output_or_attention_scores():
+    """The MLP node keeps its pre-activation, not the GELU output, and the
+    attention node keeps its weights, not the scores; no other node outputs
+    an array of either shape. A B=16 f32 depth-2 desk loss owns 9837088
+    bytes (12827424 with the unfused attention core and MLP)."""
+    spec = desk_spec(stage_depths=(2, 2, 2, 2))
+    model = SwinMae(spec, seed=0)
+    plan = build_mask_plan(
+        spec.mask_grid_d, spec.mask_window_r, spec.mask_ratio, split_rng(0, 1)
+    )
+    image = Tensor(split_rng(0, 2).random((16, 3, 32, 32)), dtype=np.float32)
+    with Tape() as tape:
+        model.loss(image, plan)
+    assert tape_owned_bytes(tape) == 9837088
+    attn = [n for n in tape.nodes if n.op == "attention"]
+    mlps = [n for n in tape.nodes if n.op == "mlp"]
+    assert len(attn) == len(mlps) == 14
+    scores = {q.shape[:3] + q.shape[2:3] for q in (n.inputs[0] for n in attn)}
+    hidden = {x.shape[:-1] + w1.shape[1:] for x, w1 in (n.inputs[:2] for n in mlps)}
+    assert not {"gelu", "softmax"} & {n.op for n in tape.nodes}
+    assert all(n.output.shape not in scores | hidden for n in tape.nodes)
 
 
 @pytest.mark.parametrize("width", [0, 24])
@@ -463,8 +501,9 @@ def test_parameter_grad_check_sample():
 
 
 def test_attention_records_no_scale_or_add_node_and_splits_heads_as_views():
-    """Scale and relative bias go into the softmax node, and q, k and v are
-    views of their projections: no score- or activation-sized copies."""
+    """The attention core is one node after the q, k and v projections and
+    their head splits, which are views of the projections: no score- or
+    activation-sized copies."""
     ps = block_params(4, 2, 2)
     xw = Tensor(np.random.default_rng(3).standard_normal((8, 4, 4)), requires_grad=True)
     with Tape() as tape:
@@ -473,12 +512,15 @@ def test_attention_records_no_scale_or_add_node_and_splits_heads_as_views():
             P.shift_attention_mask(4, 4, 2, 1),
         )
     ops = [n.op for n in tape.nodes]
-    assert "scale" not in ops and "add" not in ops
-    assert [(n.op, len(n.inputs)) for n in tape.nodes if n.op == "softmax"] == [("softmax", 2)]
+    assert "scale" not in ops and "add" not in ops and "softmax" not in ops
+    assert [(n.op, len(n.inputs)) for n in tape.nodes if n.op == "attention"] == [("attention", 4)]
+    assert ops.count("matmul") == 4
     splits = [n for n in tape.nodes if n.op == "split_heads"]
     assert len(splits) == 3
     for n in splits:
         assert np.shares_memory(n.output.data, n.inputs[0].data)
+    core = tape.nodes[ops.index("attention")]
+    assert [id(t) for t in core.inputs[:3]] == [id(n.output) for n in splits]
 
 
 def test_window_geometry_is_built_once_and_read_only():

@@ -544,3 +544,139 @@ def test_split_heads_is_a_view_with_the_gradient_of_reshape_and_transpose():
     assert np.shares_memory(y.data, x.data)
     assert x.grad.flags.c_contiguous
     assert_bits_equal([y.data, x.grad], [want.data, runs[1][0].grad])
+
+
+# ------------------------------------------------------ fused attention, MLP
+
+# The unfused chains the fused ops replaced, kept as bit-exact oracles.
+
+
+def attention_chain(q, k, v, mask, scale, bias):
+    nb, heads, t, hd = q.shape
+    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))
+    a = T.softmax_lastdim(scores, mask, scale=scale, bias=bias)
+    out = T.transpose(T.matmul(a, v), (0, 2, 1, 3))
+    return T.reshape(out, (nb, t, heads * hd))
+
+
+def mlp_chain(x, w1, b1, w2, b2):
+    return T.linear(T.gelu(T.linear(x, w1, b1)), w2, b2)
+
+
+def run_chain(f, arrays, g):
+    """Output, every leaf gradient and the tape ops of f over leaf Tensors of
+    `arrays`, with `g` as the output gradient."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        y = f(*leaves)
+        loss = T.sum_(T.mul(y, Tensor(g)))
+    T.backward(loss, tape)
+    return [y.data, *(t.grad for t in leaves)], [n.op for n in tape.nodes]
+
+
+def attention_inputs(rng, dtype, nb, heads, t, hd):
+    """Projections [nB, T, C] that the heads split as views, a relative bias
+    and an output gradient."""
+    xs = [rng.standard_normal((nb, t, heads * hd)).astype(dtype) for _ in range(3)]
+    bias = rng.standard_normal((1, heads, t, t)).astype(dtype)
+    return xs, bias, rng.standard_normal((nb, t, heads * hd)).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("with_bias", [True, False])
+@pytest.mark.parametrize("shifted", [True, False])
+@pytest.mark.parametrize(
+    "grid,window,heads,hd",
+    # a desk block, and the first full-scale stage, whose GEMMs round
+    # differently when an operand is a view rather than a contiguous copy
+    [(4, 2, 3, 5), (56, 7, 3, 32)],
+)
+def test_window_attention_bit_identical_to_unfused_chain(
+    grid, window, heads, hd, dtype, with_bias, shifted
+):
+    rng = np.random.default_rng(grid)
+    nb, t = (grid // window) ** 2, window * window
+    xs, bias, g = attention_inputs(rng, dtype, nb, heads, t, hd)
+    # -inf across the regions of the shifted windows
+    mask = shift_attention_mask(grid, grid, window, window // 2, dtype) if shifted else None
+    arrays = xs + [bias] if with_bias else xs
+    runs = []
+    for core in (T.window_attention, attention_chain):
+
+        def f(xq, xk, xv, b=None, core=core):
+            q, k, v = (T.split_heads(x, heads) for x in (xq, xk, xv))
+            return core(q, k, v, mask, hd ** -0.5, b)
+
+        runs.append(run_chain(f, arrays, g))
+    (fused, ops), (chain, _) = runs
+    assert ops.count("attention") == 1 and "softmax" not in ops and "matmul" not in ops
+    assert_bits_equal(fused, chain)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "x_shape,hidden",
+    # the [2, 200, 96] pre-activation spans two blocks, and 96 does not
+    # divide BLOCK; a 2-D input takes the unflattened weight gradient
+    [((2, 200, 24), 96), ((7, 24), 96), ((1, 1, 3), 12)],
+)
+def test_mlp_bit_identical_to_unfused_chain(x_shape, hidden, dtype):
+    rng = np.random.default_rng(hidden + len(x_shape))
+    c = x_shape[-1]
+    shapes = (x_shape, (c, hidden), (hidden,), (hidden, c), (c,))
+    arrays = [rng.standard_normal(s).astype(dtype) for s in shapes]
+    arrays[0] *= 3.0
+    g = rng.standard_normal(x_shape).astype(dtype)
+    (fused, ops), (chain, _) = (run_chain(f, arrays, g) for f in (T.mlp, mlp_chain))
+    assert ops == ["mlp", "mul", "sum"]
+    assert_bits_equal(fused, chain)
+
+
+@pytest.mark.parametrize("wrt", ["q", "k", "v", "bias"])
+def test_window_attention_grad_check(wrt):
+    rng = np.random.default_rng(25)
+    args = {n: rng.standard_normal((4, 2, 4, 3)) for n in ("q", "k", "v")}
+    args["bias"] = rng.standard_normal((1, 2, 4, 4))
+    mask = shift_attention_mask(4, 4, 2, 1)
+    weights = Tensor(rng.standard_normal((4, 4, 6)))
+
+    def f(t):
+        q, k, v, bias = (t if n == wrt else Tensor(a) for n, a in args.items())
+        y = T.window_attention(q, k, v, mask, 3 ** -0.5, bias)
+        return T.sum_(T.square(T.mul(y, weights)))
+
+    assert T.grad_check(f, Tensor(args[wrt].copy())) < 1e-6
+
+
+@pytest.mark.parametrize("wrt", ["x", "w1", "b1", "w2", "b2"])
+def test_mlp_grad_check(wrt):
+    rng = np.random.default_rng(26)
+    shapes = {"x": (2, 3, 4), "w1": (4, 8), "b1": (8,), "w2": (8, 4), "b2": (4,)}
+    args = {n: rng.standard_normal(s) for n, s in shapes.items()}
+    weights = Tensor(rng.standard_normal((2, 3, 4)))
+
+    def f(t):
+        y = T.mlp(*(t if n == wrt else Tensor(a) for n, a in args.items()))
+        return T.sum_(T.square(T.mul(y, weights)))
+
+    assert T.grad_check(f, Tensor(args[wrt].copy())) < 1e-6
+
+
+def test_fused_attention_and_mlp_raise_named_errors():
+    rng = np.random.default_rng(27)
+    q, k, v = (Tensor(rng.standard_normal((2, 1, 2, 2))) for _ in range(3))
+    row_masked = np.zeros((1, 2, 2))
+    row_masked[0, 1] = -np.inf
+    with pytest.raises(TensorError, match="softmax: row with all entries masked"):
+        T.window_attention(q, k, v, row_masked, 1.0)
+    big = Tensor(np.full((2, 1, 2, 2), 1e200))
+    with np.errstate(over="ignore"):
+        with pytest.raises(TensorError, match="attention: non-finite"):
+            T.window_attention(big, big, v, None, 1.0)
+    w1, b1, w2, b2 = (Tensor(np.ones(s)) for s in ((2, 3), (3,), (3, 2), (2,)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a 1e103 pre-activation cubed overflows f64
+        with pytest.raises(TensorError, match="mlp: non-finite"):
+            T.mlp(Tensor([[1e103, 0.0]]), w1, b1, w2, b2)
+        with pytest.raises(TensorError, match="mlp: NaN"):
+            T.mlp(Tensor([[np.nan, 0.0]]), w1, b1, w2, b2)
