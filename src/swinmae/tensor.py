@@ -2,7 +2,9 @@
 
 Everything is backed by numpy arrays in f32 or f64. Ops record backward
 closures on the active Tape; `backward` replays the tape in reverse with
-fixed-order += accumulation, so gradients are bit-reproducible.
+fixed-order += accumulation, so gradients are bit-reproducible. It consumes
+the tape as it walks it: a spent tape is empty, and each intermediate is
+freed once the backward of its producer has run.
 """
 
 from __future__ import annotations
@@ -618,15 +620,25 @@ def softmax_cross_entropy(logits, labels):
 
 
 def backward(loss, tape):
-    """Populate .grad of every requires_grad tensor reachable from loss."""
+    """Populate .grad of every requires_grad tensor reachable from loss.
+
+    Consumes the tape: `tape.nodes` is rebound to a new empty list (the list
+    it held is left as it was), and each node is dropped once its backward
+    has run, so an intermediate is freed after its producer's backward.
+    """
     if loss.data.size != 1:
         raise TensorError("backward: loss must be a scalar")
     if not tape.nodes:
         raise TensorError("backward: empty tape")
-    produced = {id(n.output) for n in tape.nodes}
+    nodes = list(tape.nodes)
+    tape.nodes = []
+    # ids stay unique: every keyed tensor was alive when backward started
+    # and backward makes no Tensor, so a freed output's id is never read
+    produced = {id(n.output) for n in nodes}
     grads = {id(loss): np.ones_like(loss.data)}
     leaf = {}
-    for node in reversed(tape.nodes):
+    while nodes:
+        node = nodes.pop()
         g = grads.pop(id(node.output), None)
         if g is None:
             continue

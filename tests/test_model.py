@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -411,6 +413,34 @@ def test_swin_mae_defaults_to_f32_and_its_loss_tape_stays_f32():
     assert {n.output.dtype for n in tape.nodes} == {np.dtype(np.float32)}
     T.backward(loss, tape)
     assert {p.grad.dtype for _, p in model.params.items()} == {np.dtype(np.float32)}
+
+
+def test_backward_frees_the_tape_as_it_walks_it():
+    """A B=16 f32 desk loss: after backward only the parameter gradients stay
+    above the level before the forward pass, and backward never holds more
+    than the forward tape plus those gradients."""
+    mib = 1 << 20
+    for depths in ((1, 1, 1, 1), (2, 2, 2, 2)):
+        spec = desk_spec(stage_depths=depths)
+        model = SwinMae(spec, seed=0)
+        plan = build_mask_plan(
+            spec.mask_grid_d, spec.mask_window_r, spec.mask_ratio, split_rng(0, 1)
+        )
+        image = Tensor(split_rng(0, 2).random((16, 3, 32, 32)), dtype=np.float32)
+        model.loss(image, plan)  # fill the window-geometry caches off the count
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                loss = model.loss(image, plan)
+            tape_bytes, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            T.backward(loss, tape)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        grad_bytes = sum(p.grad.nbytes for _, p in model.params.items())
+        assert held <= grad_bytes + mib // 4, (depths, held / mib, grad_bytes / mib)
+        assert peak <= tape_bytes + grad_bytes, (depths, peak / mib, tape_bytes / mib)
 
 
 def test_reconstruct_casts_input_to_model_dtype():

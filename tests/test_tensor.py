@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -182,6 +183,53 @@ def test_backward_rejects_nonscalar():
         y = T.square(w)
     with pytest.raises(TensorError, match="scalar"):
         T.backward(y, tape)
+
+
+def test_backward_consumes_the_tape():
+    w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    with Tape() as tape:
+        loss = T.sum_(T.square(w))
+    T.backward(loss, tape)
+    assert tape.nodes == []
+    with pytest.raises(TensorError, match="empty tape"):
+        T.backward(loss, tape)
+    assert np.array_equal(w.grad, np.array([2.0, 4.0]))
+
+
+def test_backward_leaves_a_held_node_list_as_it_was():
+    """A caller that took the node list before backward still reads every
+    node, with its own backward_fn."""
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    with Tape() as tape:
+        y = T.sum_(T.square(T.scale(x, 2.0)))
+    held = tape.nodes
+    nodes = list(held)
+    fns = [n.backward_fn for n in held]
+    T.backward(y, tape)
+    assert held == nodes
+    assert [n.backward_fn for n in held] == fns
+    assert [n.op for n in held] == ["scale", "square", "sum"]
+    assert x.grad.tolist() == (8.0 * x.data).tolist()
+
+
+def test_backward_frees_an_intermediate_before_its_inputs_backward():
+    """The square output is dead when the scale node's backward runs: its
+    producer and its consumer have both run and been dropped."""
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    with Tape() as tape:
+        y = T.sum_(T.square(T.scale(x, 2.0)))
+    squared = weakref.ref(tape.nodes[1].output)
+    seen = []
+    fn = tape.nodes[0].backward_fn
+
+    def watched(g):
+        seen.append(squared())
+        return fn(g)
+
+    tape.nodes[0].backward_fn = watched
+    T.backward(y, tape)
+    assert seen == [None]
+    assert x.grad.tolist() == (8.0 * x.data).tolist()
 
 
 def test_nan_surfaces_as_error():
@@ -519,8 +567,9 @@ def test_softmax_scale_and_bias_match_separate_nodes(dtype):
             else:
                 y = T.softmax_lastdim(T.add(T.scale(x, 0.5 ** 0.5), b), mask)
             loss = T.sum_(T.mul(y, Tensor(g)))
+        ops = [n.op for n in tape.nodes]
         T.backward(loss, tape)
-        runs.append(([n.op for n in tape.nodes], [y.data, x.grad, b.grad]))
+        runs.append((ops, [y.data, x.grad, b.grad]))
     assert runs[0][0] == ["softmax", "mul", "sum"]
     assert_bits_equal(runs[0][1], runs[1][1])
 
@@ -570,8 +619,9 @@ def run_chain(f, arrays, g):
     with Tape() as tape:
         y = f(*leaves)
         loss = T.sum_(T.mul(y, Tensor(g)))
+    ops = [n.op for n in tape.nodes]
     T.backward(loss, tape)
-    return [y.data, *(t.grad for t in leaves)], [n.op for n in tape.nodes]
+    return [y.data, *(t.grad for t in leaves)], ops
 
 
 def attention_inputs(rng, dtype, nb, heads, t, hd):
