@@ -19,9 +19,9 @@ from .tensor import Tensor, TensorError
 from .patches import PatchSpec
 from .masking import build_mask_plan, split_rng
 from .model import ModelSpec, SwinMae, pixel_mask
-from .training import load_checkpoint, load_params_strict, run_pretraining
+from .training import load_checkpoint, load_params_strict, run_pretraining, write_csv
 from .segmentation import (
-    SwinUnetSpec, build_swin_unet_from_checkpoint, evaluate_segmentation,
+    METRICS, SwinUnetSpec, build_swin_unet_from_checkpoint, evaluate_segmentation,
     run_finetune,
 )
 from . import data as D
@@ -134,7 +134,7 @@ def cmd_eval(args):
         model, images[manifest.test], labels[manifest.test], warn=_log
     )
     _log("metric     value")
-    for key in ("dsc_pct", "mpa_pct", "miou_pct", "hd"):
+    for key in METRICS:
         _log(f"{key:<10} {report[key]:.4f}")
     return 0
 
@@ -272,13 +272,10 @@ def cmd_ablate(args):
         )
 
     out = os.path.join(cfg.out_dir, "ablation.csv")
-    with open(out, "w", encoding="utf-8") as f:
-        f.write("experiment,dsc_pct,mpa_pct,miou_pct,hd\n")
-        for tag, rep in rows:
-            f.write(
-                f"{tag},{rep['dsc_pct']!r},{rep['mpa_pct']!r},"
-                f"{rep['miou_pct']!r},{rep['hd']!r}\n"
-            )
+    write_csv(
+        out, ("experiment", *METRICS),
+        ((tag, *(rep[k] for k in METRICS)) for tag, rep in rows),
+    )
     _log(f"wrote {out}")
     return 0
 

@@ -27,9 +27,13 @@ class MaskPlan:
     d: int
     r: int
     mask_ratio: float
-    keep_indices: np.ndarray  # sorted flat token indices kept visible
-    mask_flags: np.ndarray  # per-token bool, True = masked
+    mask_flags: np.ndarray  # per-token bool over the d*r by d*r grid, True = masked
     mode: str = "window"
+
+    @property
+    def keep_indices(self):
+        """Sorted flat indices of the visible tokens."""
+        return np.flatnonzero(~self.mask_flags)
 
     @property
     def side(self):
@@ -38,15 +42,6 @@ class MaskPlan:
     @property
     def n_tokens(self):
         return self.side * self.side
-
-    def validate(self):
-        n = self.n_tokens
-        if self.mask_flags.shape != (n,):
-            raise TensorError("mask_flags length mismatch")
-        keep = np.flatnonzero(~self.mask_flags)
-        if not np.array_equal(keep, self.keep_indices):
-            raise TensorError("keep_indices inconsistent with mask_flags")
-        return self
 
 
 def expand_sparse_index(x, d, r):
@@ -72,35 +67,22 @@ def build_mask_plan(d, r, mask_ratio, rng, mode="window"):
         raise TensorError(f"mask_ratio must be in [0, 1), got {mask_ratio}")
     if mode not in ("window", "random"):
         raise TensorError(f"unknown masking mode {mode!r}")
-    if mode == "random":
-        # same procedure over individual tokens: a (d*r)^2 grid of unit windows
-        inner = build_mask_plan(d * r, 1, mask_ratio, rng, mode="window")
-        return MaskPlan(
-            d=d, r=r, mask_ratio=mask_ratio,
-            keep_indices=inner.keep_indices, mask_flags=inner.mask_flags,
-            mode="random",
-        )
-
-    n_windows = d * d
+    # random mode runs the same procedure over single tokens: a (d*r)^2 grid
+    # of unit windows
+    wd, wr = (d, r) if mode == "window" else (d * r, 1)
+    n_windows = wd * wd
     n_keep = int(n_windows * (1.0 - mask_ratio))  # slice truncation == floor
     if n_keep == 0:
         raise TensorError(
             f"nothing kept: floor({n_windows} * {1.0 - mask_ratio:g}) == 0"
         )
     noise = rng.random(n_windows)
-    sparse_shuffle = np.argsort(noise, kind="stable")  # index tie-break
-    sparse_keep = sparse_shuffle[:n_keep]
+    sparse_keep = np.argsort(noise, kind="stable")[:n_keep]  # index tie-break
 
-    tops = expand_sparse_index(sparse_keep, d, r)
-    keep = (tops[:, None] + window_member_offsets(d, r)[None, :]).reshape(-1)
-    keep = np.sort(keep)
-
-    flags = np.ones((d * r) * (d * r), dtype=bool)
-    flags[keep] = False
-    return MaskPlan(
-        d=d, r=r, mask_ratio=mask_ratio,
-        keep_indices=keep, mask_flags=flags, mode="window",
-    ).validate()
+    tops = expand_sparse_index(sparse_keep, wd, wr)
+    flags = np.ones(n_windows * wr * wr, dtype=bool)
+    flags[tops[:, None] + window_member_offsets(wd, wr)[None, :]] = False
+    return MaskPlan(d=d, r=r, mask_ratio=mask_ratio, mask_flags=flags, mode=mode)
 
 
 def apply_mask_tokens(g, plan, mask_vector):

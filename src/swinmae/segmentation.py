@@ -17,15 +17,16 @@ from .model import (
     ModelSpec, build_encoder_params, build_expanding_params, encoder_forward,
     expanding_path, _init_linear, _init_norm, _init_pos_embed,
 )
-from .training import (
-    Adam, ScheduleConfig, cosine_lr, CheckpointError, save_checkpoint, train_step,
-)
+from .training import CheckpointError, save_checkpoint, train_epochs, write_csv
 from . import metrics as M
 
 # Images per forward pass in evaluate_segmentation. A 224² full-scale
 # Swin-Unet needs about 43 MB per image, so this bounds evaluation at about
 # 0.7 GB above the model, whatever the size of the test split.
 EVAL_BATCH = 16
+
+# The report keys of evaluate_segmentation, in CSV and table order.
+METRICS = ("dsc_pct", "mpa_pct", "miou_pct", "hd")
 
 
 @dataclass
@@ -230,23 +231,25 @@ def run_finetune(
     epochs, lr_max, batch_size, seed, augment=True,
     csv_path=None, checkpoint_path=None, log=None,
 ):
-    """Cross-entropy training of all layers; logs test metrics per epoch."""
+    """Cross-entropy training of all layers; logs test metrics per epoch and
+    checkpoints the epoch with the best mIoU. Returns (history, best epoch)."""
     if train_images.shape[0] == 0 or test_images.shape[0] == 0:
         raise TensorError("empty train or test split")
-    optimizer = Adam(model.params)
-    history = []
-    best_miou, best_epoch = -1.0, -1
     n = train_images.shape[0]
     batch_size = min(batch_size, n)
-    for epoch in range(epochs):
-        lr = cosine_lr(ScheduleConfig(lr_max, epochs, epoch))
+
+    def batches(epoch):
         order = split_rng(seed, epoch, 0).permutation(n)
         for bi in range(0, n, batch_size):
             idx = order[bi:bi + batch_size]
             imgs, labs = train_images[idx], train_labels[idx]
             if augment:
                 imgs, labs = augment_batch(imgs, labs, split_rng(seed, epoch, 1, bi))
-            train_step(model, imgs, labs, optimizer, lr)
+            yield imgs, labs
+
+    history = []
+    best_miou, best_epoch = -1.0, -1
+    for epoch, lr, _ in train_epochs(model, epochs, lr_max, batch_size, batches):
         report, _ = evaluate_segmentation(model, test_images, test_labels)
         history.append(report)
         if log:
@@ -263,15 +266,8 @@ def run_finetune(
                      "miou_pct": report["miou_pct"]},
                 )
     if csv_path:
-        write_metrics_csv(csv_path, history)
+        write_csv(
+            csv_path, ("epoch", *METRICS),
+            ((epoch, *(rep[k] for k in METRICS)) for epoch, rep in enumerate(history)),
+        )
     return history, best_epoch
-
-
-def write_metrics_csv(path, history):
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("epoch,dsc_pct,mpa_pct,miou_pct,hd\n")
-        for epoch, rep in enumerate(history):
-            f.write(
-                f"{epoch},{rep['dsc_pct']!r},{rep['mpa_pct']!r},"
-                f"{rep['miou_pct']!r},{rep['hd']!r}\n"
-            )

@@ -1,5 +1,5 @@
-"""Optimization loop for pretraining: half-cycle cosine schedule, Adam,
-binary checkpoints, per-epoch loss CSV.
+"""The training loop shared by pretraining and fine-tuning: half-cycle
+cosine schedule, Adam, one epoch loop; binary checkpoints and CSV output.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import ParamStore, Tensor, TensorError
+from .tensor import Tensor, TensorError
 from .masking import build_mask_plan, split_rng
 
 
@@ -230,9 +230,23 @@ def train_step(model, batch, target, optimizer, lr):
     return loss.item()
 
 
-def iterate_batches(n, batch_size):
-    for start in range(0, n, batch_size):
-        yield start, min(start + batch_size, n)
+def train_epochs(model, epochs, lr_max, batch_size, batches):
+    """The epoch loop: Adam over the model's parameters and a half-cycle
+    cosine lr per epoch. Each epoch runs `train_step` over the
+    (images, target) pairs that `batches(epoch)` yields, then yields
+    (epoch, lr, losses). `batch_size` is checked here, once, for every
+    caller; `batches` slices by it."""
+    if epochs < 1 or batch_size < 1:
+        raise TensorError(
+            f"epochs and batch_size must be >= 1, got {epochs} and {batch_size}"
+        )
+    optimizer = Adam(model.params)
+    for epoch in range(epochs):
+        lr = cosine_lr(ScheduleConfig(lr_max, epochs, epoch))
+        losses = [
+            train_step(model, x, target, optimizer, lr) for x, target in batches(epoch)
+        ]
+        yield epoch, lr, losses
 
 
 def run_pretraining(
@@ -243,43 +257,39 @@ def run_pretraining(
     """Pretrain on an [N,C,H,W] stack; returns the per-epoch mean-loss list.
 
     A fresh mask plan is drawn per (epoch, batch) from a split RNG stream, so
-    results do not depend on loader timing.
+    results do not depend on loader timing. The checkpoint is written every
+    `checkpoint_every` epochs (0: never) and after the last epoch.
     """
     spec = model.spec
-    optimizer = Adam(model.params)
-    n = images.shape[0]
-    history = []
-    for epoch in range(epochs):
-        lr = cosine_lr(ScheduleConfig(lr_max, epochs, epoch))
-        losses = []
-        for bi, (lo, hi) in enumerate(iterate_batches(n, batch_size)):
-            rng = split_rng(seed, epoch, bi)
+
+    def batches(epoch):
+        for bi, lo in enumerate(range(0, images.shape[0], batch_size)):
             plan = build_mask_plan(
                 spec.mask_grid_d, spec.mask_window_r, spec.mask_ratio,
-                rng, mode=mask_mode,
+                split_rng(seed, epoch, bi), mode=mask_mode,
             )
-            losses.append(train_step(model, images[lo:hi], plan, optimizer, lr))
-        mean_loss = float(np.mean(losses))
-        history.append(mean_loss)
+            yield images[lo:lo + batch_size], plan
+
+    history = []
+    for epoch, lr, losses in train_epochs(model, epochs, lr_max, batch_size, batches):
+        history.append(float(np.mean(losses)))
         if log:
-            log(f"epoch {epoch}: loss {mean_loss:.6f} lr {lr:.2e}")
-        if checkpoint_path and checkpoint_every and (epoch + 1) % checkpoint_every == 0:
+            log(f"epoch {epoch}: loss {history[-1]:.6f} lr {lr:.2e}")
+        due = checkpoint_every and (epoch + 1) % checkpoint_every == 0
+        if checkpoint_path and (due or epoch == epochs - 1):
             save_checkpoint(
                 checkpoint_path, model.params,
                 {"epoch": epoch, "seed": seed, "kind": "pretrain"},
             )
     if csv_path:
-        write_loss_csv(csv_path, history)
-    if checkpoint_path:
-        save_checkpoint(
-            checkpoint_path, model.params,
-            {"epoch": epochs - 1, "seed": seed, "kind": "pretrain"},
-        )
+        write_csv(csv_path, ("epoch", "loss"), enumerate(history))
     return history
 
 
-def write_loss_csv(path, history):
+def write_csv(path, header, rows):
+    """One line per row: the first field as text, the others as their repr,
+    so floats read back exactly."""
     with open(path, "w", encoding="utf-8") as f:
-        f.write("epoch,loss\n")
-        for epoch, loss in enumerate(history):
-            f.write(f"{epoch},{loss!r}\n")
+        f.write(",".join(header) + "\n")
+        for first, *rest in rows:
+            f.write(",".join([str(first), *map(repr, rest)]) + "\n")

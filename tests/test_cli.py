@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,49 @@ def test_pretrain_finetune_eval_pipeline(tmp_path, capsys):
     out = capsys.readouterr().out
     for key in ("dsc_pct", "mpa_pct", "miou_pct", "hd"):
         assert key in out
+
+
+@pytest.mark.parametrize("command, setting", [
+    ("pretrain", "epochs=0"),
+    ("pretrain", "batch_size=-4"),
+    ("pretrain", "batch_size=0"),
+    ("finetune", "epochs=0"),
+    ("finetune", "batch_size=-4"),
+    ("ablate", "epochs=0"),
+])
+def test_bad_epochs_or_batch_size_exit_1_and_write_nothing(tmp_path, capsys, command, setting):
+    data_dir = gen(tmp_path, n_unlabeled=2, n_labeled=5)
+    out_dir = tmp_path / "out"
+    rc = cli_main([
+        command, "--set", f"data_dir={data_dir}", "--set", f"out_dir={out_dir}",
+        "--set", "epochs=1", "--set", "batch_size=2", "--set", setting,
+    ])
+    assert rc == 1
+    assert "epochs and batch_size must be >= 1" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
+
+
+def test_pretrain_then_finetune_reruns_are_byte_identical(tmp_path, capsys):
+    data_dir = gen(tmp_path, n_unlabeled=4, n_labeled=5, seed=2)
+    out_dir = tmp_path / "out"
+    fast = [
+        "--set", f"data_dir={data_dir}", "--set", f"out_dir={out_dir}",
+        "--set", "epochs=2", "--set", "batch_size=2", "--set", "checkpoint_every=1",
+    ]
+    capsys.readouterr()
+
+    def run():
+        shutil.rmtree(out_dir, ignore_errors=True)
+        assert cli_main(["pretrain", *fast]) == 0
+        assert cli_main(["finetune", "--checkpoint", str(out_dir / "pretrain.ckpt"), *fast]) == 0
+        files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+        return files, capsys.readouterr().out
+
+    first = run()
+    assert sorted(first[0]) == [
+        "finetune_best.ckpt", "finetune_metrics.csv", "pretrain.ckpt", "pretrain_loss.csv",
+    ]
+    assert run() == first
 
 
 def test_reconstruct_writes_triptych(tmp_path, capsys):

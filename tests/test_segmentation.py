@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 import swinmae.tensor as T
-from swinmae import segmentation
+from swinmae import segmentation, training
 from swinmae.tensor import Tensor, TensorError
 from swinmae.patches import PatchSpec
 from swinmae.model import SwinMae, desk_spec
-from swinmae.training import Adam, CheckpointError
+from swinmae.training import Adam, CheckpointError, write_csv
 from swinmae.segmentation import (
     SwinUnet, SwinUnetSpec, augment_batch, build_swin_unet_from_checkpoint,
-    evaluate_segmentation, run_finetune, write_metrics_csv,
+    evaluate_segmentation, run_finetune,
 )
 
 
@@ -232,7 +232,10 @@ def test_metrics_csv_header_and_roundtrip(tmp_path):
         {"dsc_pct": 30.0, "mpa_pct": 40.0, "miou_pct": 0.5, "hd": float("nan")},
     ]
     path = tmp_path / "m.csv"
-    write_metrics_csv(path, history)
+    write_csv(
+        path, ("epoch", *segmentation.METRICS),
+        ((e, *(rep[k] for k in segmentation.METRICS)) for e, rep in enumerate(history)),
+    )
     lines = path.read_text().splitlines()
     assert lines[0] == "epoch,dsc_pct,mpa_pct,miou_pct,hd"
     assert len(lines) == 3
@@ -273,3 +276,25 @@ def test_finetune_deterministic():
         return history
 
     assert run() == run()
+
+
+def test_finetune_calls_the_benchmark_hooks_through_their_modules(monkeypatch):
+    """The benchmark replaces segmentation.evaluate_segmentation and wraps
+    training.train_step; fine-tuning must look both up at call time: one
+    evaluation per epoch and one step per batch."""
+    evals, steps = [], []
+    evaluate, step = segmentation.evaluate_segmentation, training.train_step
+    monkeypatch.setattr(
+        segmentation, "evaluate_segmentation",
+        lambda *a, **kw: evals.append(1) or evaluate(*a, **kw),
+    )
+    monkeypatch.setattr(training, "train_step", lambda *a: steps.append(1) or step(*a))
+    n, batch_size, epochs = 5, 2, 2
+    imgs = rand_images(n + 1, seed=4)
+    labels = np.random.default_rng(0).integers(0, 3, size=(n + 1, 32, 32))
+    run_finetune(
+        SwinUnet(unet_spec(), seed=0), imgs[:n], labels[:n], imgs[n:], labels[n:],
+        epochs=epochs, lr_max=1e-3, batch_size=batch_size, seed=1, augment=False,
+    )
+    assert len(evals) == epochs
+    assert len(steps) == epochs * -(-n // batch_size)

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 import swinmae.tensor as T
+from swinmae import training
 from swinmae.tensor import ParamStore, Tensor, TensorError
 from swinmae.masking import build_mask_plan, split_rng
 from swinmae.model import SwinMae, desk_spec
 from swinmae.training import (
     BETA1, BETA2, EPS, Adam, CheckpointError, ScheduleConfig, cosine_lr, load_checkpoint,
-    load_params_strict, run_pretraining, save_checkpoint, train_step,
-    write_loss_csv,
+    load_params_strict, run_pretraining, save_checkpoint, train_epochs, train_step,
+    write_csv,
 )
 
 
@@ -432,7 +433,61 @@ def test_pretraining_writes_csv_and_checkpoint(tmp_path):
 def test_loss_csv_roundtrips_float_repr(tmp_path):
     hist = [0.1, 1.0 / 3.0, 2.5e-7]
     path = tmp_path / "h.csv"
-    write_loss_csv(path, hist)
+    write_csv(path, ("epoch", "loss"), enumerate(hist))
     lines = path.read_text().splitlines()[1:]
     got = [float(line.split(",")[1]) for line in lines]
     assert got == hist
+
+
+def test_train_epochs_yields_each_epoch_with_its_cosine_lr():
+    spec = desk_spec()
+    model = SwinMae(spec, seed=0)
+    images = tiny_images(2)
+    plan = build_mask_plan(
+        spec.mask_grid_d, spec.mask_window_r, spec.mask_ratio, split_rng(0, 0)
+    )
+    seen = []
+
+    def batches(epoch):
+        seen.append(epoch)
+        yield images, plan
+        yield images, plan
+
+    out = list(train_epochs(model, 3, 1e-3, 2, batches))
+    assert seen == [0, 1, 2]
+    assert [(e, lr) for e, lr, _ in out] == [
+        (i, cosine_lr(ScheduleConfig(1e-3, 3, i))) for i in range(3)
+    ]
+    assert all(len(losses) == 2 and np.isfinite(losses).all() for _, _, losses in out)
+
+
+@pytest.mark.parametrize("every, saved_epochs", [(1, [0, 1, 2]), (2, [1, 2]), (0, [2])])
+def test_pretraining_saves_each_checkpoint_once(tmp_path, monkeypatch, every, saved_epochs):
+    """The last epoch is saved once, whether or not checkpoint_every divides
+    the epoch count."""
+    saved = []
+    real = training.save_checkpoint
+
+    def counted(path, params, metadata=None):
+        saved.append(metadata["epoch"])
+        return real(path, params, metadata)
+
+    monkeypatch.setattr(training, "save_checkpoint", counted)
+    run_pretraining(
+        SwinMae(desk_spec(), seed=0), tiny_images(2), epochs=3, lr_max=1e-3,
+        batch_size=2, seed=1, checkpoint_path=tmp_path / "p.ckpt", checkpoint_every=every,
+    )
+    assert saved == saved_epochs
+    assert load_checkpoint(tmp_path / "p.ckpt")[0]["epoch"] == "2"
+
+
+def test_pretraining_calls_train_step_through_the_module(monkeypatch):
+    """The benchmark's tracer wraps training.train_step, so the loop must
+    look it up at call time."""
+    calls = []
+    real = training.train_step
+    monkeypatch.setattr(
+        training, "train_step", lambda *a: calls.append(a[1].shape[0]) or real(*a)
+    )
+    run_pretraining(SwinMae(desk_spec(), seed=0), tiny_images(5), 2, 1e-3, 2, seed=0)
+    assert calls == [2, 2, 1] * 2
