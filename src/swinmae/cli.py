@@ -190,20 +190,71 @@ def cmd_grad_check(args):
     return 0 if err < 1e-4 else 1
 
 
+def run_grid(rows, seeds, pretrain_cfg, finetune_cfg):
+    """Pretrain, transfer and fine-tune every row at every seed.
+
+    A row is (tag, `ModelSpec` overrides plus `mask_mode` or None for no
+    pretraining, Swin-Unet overrides); each phase reads its data, schedule
+    and spec defaults from its config. Repeated runs are reused: pretrainings
+    are keyed by (spec repr, mask mode, seed), fine-tunes by that key, or
+    (None, seed), and the Swin-Unet spec repr. Returns, per row and seed,
+    (pretraining loss history or None, fine-tune history, best epoch), or
+    the TensorError, from building the spec or pretraining, that skips it.
+    """
+    unlabeled = D.load_stack(D.scan_dataset(pretrain_cfg.data_dir).unlabeled)
+    manifest = D.scan_dataset(finetune_cfg.data_dir)
+    images, labels = D.load_labeled(manifest.labeled)
+    pretrained = {(None, seed): (None, None) for seed in seeds}
+    finetuned, results = {}, []
+    for _, pre_kw, unet_kw in rows:
+        unet = _unet_spec(finetune_cfg, **unet_kw)
+        if pre_kw is not None:
+            pre_kw = dict(pre_kw)
+            mode = pre_kw.pop("mask_mode", "window")
+            try:
+                spec = _model_spec(pretrain_cfg, **pre_kw)
+            except TensorError as exc:
+                results.append([exc] * len(seeds))
+                continue
+        runs = []
+        for seed in seeds:
+            key = (None, seed) if pre_kw is None else (repr(spec), mode, seed)
+            if key not in pretrained:
+                try:
+                    model = SwinMae(spec, seed=seed)
+                    history = run_pretraining(
+                        model, unlabeled, pretrain_cfg.epochs, pretrain_cfg.lr_max,
+                        pretrain_cfg.batch_size, seed, mask_mode=mode,
+                    )
+                    pretrained[key] = history, {n: p.data.copy() for n, p in model.params.items()}
+                except TensorError as exc:
+                    pretrained[key] = exc
+            if isinstance(pretrained[key], TensorError):
+                runs.append(pretrained[key])
+                continue
+            history, tensors = pretrained[key]
+            run_key = (key, repr(unet))
+            if run_key not in finetuned:
+                split = manifest.split(seed)
+                model, _ = build_swin_unet_from_checkpoint(tensors, unet, seed=seed)
+                finetuned[run_key] = run_finetune(
+                    model, images[split.train], labels[split.train], images[split.test],
+                    labels[split.test], finetune_cfg.epochs, finetune_cfg.lr_max,
+                    finetune_cfg.batch_size, seed, augment=finetune_cfg.augment,
+                )
+            runs.append((history, *finetuned[run_key]))
+        results.append(runs)
+    return results
+
+
 def cmd_ablate(args):
     cfg = _config(args)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    manifest = D.scan_dataset(cfg.data_dir).split(cfg.seed)
-    unlabeled = D.load_stack(manifest.unlabeled)
-    images, labels = D.load_labeled(manifest.labeled)
-    tr, te = manifest.train, manifest.test
     vit = dict(decoder_variant="VIT")
     swin = dict(decoder_variant="SWIN", decoder_width=0)
     pe = dict(use_abs_pos_embed=True)
     enc = {v: dict(encoder_variant=v, use_abs_pos_embed=(v != "III"), **vit)
            for v in ("I", "II", "III")}
-    # (tag, pretraining spec overrides or None for no pretraining, Swin-Unet
-    # spec overrides)
     table = [
         ("none", None, {}),
         ("none+pe", None, pe),
@@ -219,52 +270,13 @@ def cmd_ablate(args):
         ("masking-random", dict(mask_mode="random"), {}),
         ("masking-window", dict(mask_mode="window"), {}),
     ] + [(f"ratio-{r}", dict(mask_ratio=r), {}) for r in (0.45, 0.6, 0.75, 0.9)]
-    # rows that repeat a configuration reuse its run: pretrainings are keyed
-    # by resolved spec and mask mode (a failed one keeps its TensorError),
-    # fine-tunings by that key and their spec
-    pretrained = {None: None}
-    reports = {}
-
-    def pretrain(spec_kw):
-        if spec_kw is None:
-            return None
-        spec_kw = dict(spec_kw)
-        mode = spec_kw.pop("mask_mode", "window")
-        spec = _model_spec(cfg, **spec_kw)
-        key = (repr(spec), mode)
-        if key not in pretrained:
-            try:
-                model = SwinMae(spec, seed=cfg.seed)
-                run_pretraining(
-                    model, unlabeled, cfg.epochs, cfg.lr_max, cfg.batch_size,
-                    cfg.seed, mask_mode=mode,
-                )
-                pretrained[key] = {n: p.data.copy() for n, p in model.params.items()}
-            except TensorError as exc:
-                pretrained[key] = exc
-        if isinstance(pretrained[key], TensorError):
-            raise pretrained[key]
-        return key
-
     rows = []
-    for tag, spec_kw, unet_kw in table:
-        try:
-            key = pretrain(spec_kw)
-        except TensorError as exc:
-            _log(f"{tag}: skipped ({exc})")
+    for (tag, _, _), (run,) in zip(table, run_grid(table, (cfg.seed,), cfg, cfg)):
+        if isinstance(run, TensorError):
+            _log(f"{tag}: skipped ({run})")
             continue
-        spec = _unet_spec(cfg, **unet_kw)
-        run_key = (key, repr(spec))
-        if run_key not in reports:
-            model, _ = build_swin_unet_from_checkpoint(
-                pretrained[key], spec, seed=cfg.seed
-            )
-            history, best = run_finetune(
-                model, images[tr], labels[tr], images[te], labels[te],
-                cfg.epochs, cfg.lr_max, cfg.batch_size, cfg.seed, augment=cfg.augment,
-            )
-            reports[run_key] = history[best]
-        rep = reports[run_key]
+        _, history, best = run
+        rep = history[best]
         rows.append((tag, rep))
         _log(
             f"{tag}: dsc {rep['dsc_pct']:.2f} mpa {rep['mpa_pct']:.2f} "

@@ -1,6 +1,6 @@
 """Segmentation metrics: per-class confusion counts, Dice / pixel accuracy /
 IoU (one-vs-rest, macro-averaged over foreground classes), and the exact
-symmetric Hausdorff distance between point sets and between label maps.
+symmetric Hausdorff distance between the classes of two label maps.
 """
 
 from __future__ import annotations
@@ -74,26 +74,11 @@ def area_metrics(counts_per_class):
 
 
 def cdist(a, b):
-    """Euclidean distances between the rows of `a` and of `b`; scipy.spatial
-    is imported on first use, not by every command that imports this module."""
+    """Euclidean distances between the rows of `a` and `b` (scipy.spatial is
+    imported on first use). Unused in the package; perfbench's tracer wraps it."""
     from scipy.spatial.distance import cdist as pairwise
 
     return pairwise(a, b)
-
-
-def directed_hausdorff(a, b):
-    """max over a of min over b of Euclidean distance."""
-    d = cdist(a, b)
-    return float(d.min(axis=1).max())
-
-
-def hausdorff(a, b):
-    """Symmetric Hausdorff distance between two nonempty (row, col) sets."""
-    a = np.asarray(a, dtype=np.float64).reshape(-1, 2)
-    b = np.asarray(b, dtype=np.float64).reshape(-1, 2)
-    if a.size == 0 or b.size == 0:
-        raise TensorError("hausdorff: point sets must be nonempty")
-    return max(directed_hausdorff(a, b), directed_hausdorff(b, a))
 
 
 def hausdorff_per_class(pred, gt, num_classes, warn=None):

@@ -186,9 +186,11 @@ def load_checkpoint(path):
             dtype = _CODE_DTYPES[code]
             n_bytes = math.prod(dims) * dtype.itemsize
             payload = _read_exact(f, n_bytes, f"payload of {name!r}")
-            tensors[name] = np.frombuffer(
-                payload, dtype=dtype.newbyteorder("<")
-            ).astype(dtype).reshape(dims)
+            flat = np.frombuffer(payload, dtype=dtype.newbyteorder("<")).astype(dtype)
+            try:
+                tensors[name] = flat.reshape(dims)
+            except ValueError as exc:  # a 0 beside huge dims, or over 64 dims
+                raise CheckpointError(f"tensor {name!r}: dims {dims}: {exc}") from None
         if f.read(1):
             raise CheckpointError("trailing bytes after tensor table")
     return meta, tensors

@@ -21,14 +21,11 @@ from swinmae.training import (
     Adam, ScheduleConfig, cosine_lr, load_checkpoint, load_params_strict,
     run_pretraining, save_checkpoint, train_step,
 )
-from swinmae.segmentation import (
-    SwinUnetSpec, build_swin_unet_from_checkpoint, run_finetune,
-)
-from swinmae.metrics import area_metrics, confusion_counts, hausdorff
-from swinmae.data import (
-    DatasetManifest, generate_synthetic_dataset, load_labeled, load_stack,
-    synth_pair,
-)
+from swinmae.segmentation import SwinUnetSpec, build_swin_unet_from_checkpoint
+from swinmae.metrics import area_metrics, confusion_counts, hausdorff_per_class
+from swinmae.data import generate_synthetic_dataset, synth_pair
+from swinmae.config import RunConfig
+from swinmae.cli import run_grid
 
 
 def check(num, name, ok, detail=""):
@@ -363,7 +360,8 @@ def test_criterion_10_metrics_oracles():
         # algebraic identity per class
         for D, I in zip(dsc, miou):
             ok = ok and abs(D - 2 * I / (1 + I)) < 1e-12
-        # hausdorff against the double loop, class 1
+        # hausdorff against the double loop, class 1: with num_classes=2 the
+        # evaluation's function compares only pred == 1 with gt == 1
         pa = np.argwhere(pred == 1)
         ga = np.argwhere(gt == 1)
         if len(pa) and len(ga):
@@ -372,7 +370,8 @@ def test_criterion_10_metrics_oracles():
                 for x in direction[0]:
                     best = min(math.dist(x, y) for y in direction[1])
                     worst = max(worst, best)
-            ok = ok and hausdorff(pa, ga) == pytest.approx(worst, rel=1e-12)
+            got = hausdorff_per_class(pred, gt, 2)
+            ok = ok and got == pytest.approx(worst, rel=1e-12)
     check(10, "metric oracles", ok, "100 random 16x16 label maps")
 
 
@@ -382,42 +381,26 @@ def test_criterion_10_metrics_oracles():
 def test_criterion_11_trend_reproduction(tmp_path):
     t0 = time.time()
     data_dir = tmp_path / "trend_data"
-    manifest = generate_synthetic_dataset(200, 100, seed=0, out_dir=data_dir)
-    unlabeled = load_stack(manifest.unlabeled)
-    images, labels = load_labeled(manifest.labeled)
-    epochs_pt, epochs_ft = 24, 8
-
-    def pretrain(seed, mode):
-        model = SwinMae(desk_spec(), seed=seed)
-        hist = run_pretraining(
-            model, unlabeled, epochs_pt, 3e-3, 16, seed, mask_mode=mode
-        )
-        return {n: p.data.copy() for n, p in model.params.items()}, hist
-
-    def finetune(seed, tensors):
-        split = DatasetManifest(
-            root=str(data_dir), labeled=list(manifest.labeled)
-        ).split(seed)
-        spec = SwinUnetSpec(image=PatchSpec(32, 32, 3, patch_side=4), num_classes=3)
-        model, _ = build_swin_unet_from_checkpoint(tensors, spec, seed=seed)
-        hist, _ = run_finetune(
-            model,
-            images[split.train], labels[split.train],
-            images[split.test], labels[split.test],
-            epochs_ft, 1e-3, 16, seed, augment=False,
-        )
-        return hist[-1]["miou_pct"]
+    generate_synthetic_dataset(200, 100, seed=0, out_dir=data_dir)
+    rows = [
+        ("window", dict(mask_mode="window"), {}),
+        ("scratch", None, {}),
+        ("random-mask", dict(mask_mode="random"), {}),
+    ]
+    pretrain_cfg = RunConfig(data_dir=data_dir, epochs=24, lr_max=3e-3, batch_size=16)
+    finetune_cfg = RunConfig(
+        data_dir=data_dir, epochs=8, lr_max=1e-3, batch_size=16, augment=False
+    )
+    window, scratch, rmask = run_grid(rows, (0, 1, 2), pretrain_cfg, finetune_cfg)
 
     a = b = c = 0
-    for seed in (0, 1, 2):
-        ck_window, hist_window = pretrain(seed, "window")
-        ck_random, hist_random = pretrain(seed, "random")
+    for (hist_window, ft_window, _), (_, ft_scratch, _), (hist_random, ft_rmask, _) in zip(
+        window, scratch, rmask
+    ):
         c += hist_random[5] < hist_window[5]
-        miou_pre = finetune(seed, ck_window)
-        miou_scratch = finetune(seed, None)
-        miou_rmask = finetune(seed, ck_random)
-        a += miou_pre >= miou_scratch
-        b += miou_pre >= miou_rmask
+        miou_pre = ft_window[-1]["miou_pct"]
+        a += miou_pre >= ft_scratch[-1]["miou_pct"]
+        b += miou_pre >= ft_rmask[-1]["miou_pct"]
     elapsed = time.time() - t0
     ok = a >= 2 and b >= 2 and c >= 2 and elapsed < 1800.0
     check(11, "trend reproduction", ok,

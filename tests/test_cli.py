@@ -295,6 +295,60 @@ def test_ablate_skips_every_row_whose_pretraining_fails(tmp_path, capsys, monkey
     assert len(calls) == 9
 
 
+def test_grid_runs_each_configuration_once_in_row_seed_order(tmp_path, monkeypatch):
+    """Rows that share a pretraining or a whole run reuse it at each seed;
+    a configuration whose pretraining fails, or whose spec cannot be built,
+    skips exactly its rows at every seed."""
+    pretrains, finetunes = [], []
+
+    def fake_pretraining(model, images, epochs, lr_max, batch_size, seed, mask_mode):
+        pretrains.append((model.spec.mask_ratio, mask_mode, seed))
+        if model.spec.mask_ratio == 0.6:
+            raise TensorError("pretraining failed")
+        return [mask_mode, seed]
+
+    def fake_finetune(model, *data_and_schedule, augment):
+        seed = data_and_schedule[-1]
+        finetunes.append(seed)
+        return [{"seed": seed, "call": len(finetunes)}], 0
+
+    monkeypatch.setattr(cli, "run_pretraining", fake_pretraining)
+    monkeypatch.setattr(cli, "run_finetune", fake_finetune)
+    pe = dict(use_abs_pos_embed=True)
+    rows = [
+        ("scratch", None, {}),
+        ("window", {}, {}),
+        ("fails", dict(mask_ratio=0.6), {}),
+        ("window-again", dict(mask_mode="window"), {}),
+        ("random", dict(mask_mode="random"), {}),
+        ("window+pe", {}, pe),
+        ("no-spec", dict(encoder_variant="II", mask_ratio=0.5), {}),
+        ("fails+pe", dict(mask_ratio=0.6), pe),
+        ("scratch-again", None, {}),
+    ]
+    cfg = RunConfig(data_dir=gen(tmp_path), epochs=1, batch_size=4)
+    seeds = (2, 0)
+    results = cli.run_grid(rows, seeds, cfg, cfg)
+
+    assert sorted(pretrains) == sorted(
+        (ratio, mode, seed) for ratio, mode in ((0.75, "window"), (0.75, "random"), (0.6, "window"))
+        for seed in seeds
+    )
+    # scratch, window, random and window+pe at each seed
+    assert len(finetunes) == 8
+    assert [len(runs) for runs in results] == [len(seeds)] * len(rows)
+    by_tag = dict(zip((tag for tag, _, _ in rows), results))
+    for tag in ("fails", "fails+pe", "no-spec"):
+        assert all(isinstance(run, TensorError) for run in by_tag[tag]), tag
+    assert by_tag["window-again"] == by_tag["window"]
+    assert by_tag["scratch-again"] == by_tag["scratch"]
+    assert by_tag["window+pe"] != by_tag["window"]
+    for tag, mode in (("scratch", None), ("window", "window"), ("random", "random")):
+        for seed, (history, ft_history, best) in zip(seeds, by_tag[tag]):
+            assert history == (None if mode is None else [mode, seed])
+            assert ft_history[0]["seed"] == seed and best == 0
+
+
 def test_config_file_and_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\nn_unlabeled = 2\nn_labeled = 1\n")

@@ -1,11 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from swinmae.metrics import (
-    ConfusionCounts, area_metrics, confusion_counts, directed_hausdorff,
-    hausdorff, hausdorff_per_class,
+    ConfusionCounts, area_metrics, confusion_counts, hausdorff_per_class,
 )
 from swinmae.tensor import TensorError
 
@@ -104,17 +101,21 @@ def test_area_metrics_requires_foreground():
 
 
 def brute_hausdorff(a, b):
-    """Double-loop oracle over all point pairs."""
-    def directed(xs, ys):
-        worst = 0.0
-        for x in xs:
-            best = math.inf
-            for y in ys:
-                best = min(best, math.dist(x, y))
-            worst = max(worst, best)
-        return worst
+    """All-pairs oracle: every distance between the two (row, col) sets."""
+    a = np.asarray(a, dtype=np.float64)[:, None, :]
+    b = np.asarray(b, dtype=np.float64)[None, :, :]
+    d = np.sqrt(((a - b) ** 2).sum(axis=-1))
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
 
-    return max(directed(a, b), directed(b, a))
+
+def maps(a, b, side=20):
+    """Label maps with class 1 on the (row, col) points of `a` (pred) and of
+    `b` (gt); everything else is background."""
+    pred = np.zeros((side, side), dtype=int)
+    gt = np.zeros((side, side), dtype=int)
+    pred[tuple(np.asarray(a).reshape(-1, 2).T)] = 1
+    gt[tuple(np.asarray(b).reshape(-1, 2).T)] = 1
+    return pred, gt
 
 
 def test_hausdorff_matches_bruteforce():
@@ -122,31 +123,35 @@ def test_hausdorff_matches_bruteforce():
     for _ in range(20):
         a = rng.integers(0, 20, size=(int(rng.integers(1, 12)), 2))
         b = rng.integers(0, 20, size=(int(rng.integers(1, 12)), 2))
-        want = brute_hausdorff(a.tolist(), b.tolist())
-        assert hausdorff(a, b) == pytest.approx(want, rel=1e-12)
+        got = hausdorff_per_class(*maps(a, b), 2)
+        assert got == pytest.approx(brute_hausdorff(a, b), rel=1e-12)
 
 
 def test_hausdorff_hand_values():
-    a = [(0, 0)]
-    b = [(3, 4)]
-    assert hausdorff(a, b) == pytest.approx(5.0)
+    assert hausdorff_per_class(*maps([(0, 0)], [(3, 4)]), 2) == pytest.approx(5.0)
     square = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert hausdorff(square, square) == 0.0
-    # point vs segment endpoints: directed distances differ
-    assert directed_hausdorff(np.array([[0.0, 0.0]]), np.array([[0.0, 0.0], [0.0, 9.0]])) == 0.0
-    assert directed_hausdorff(np.array([[0.0, 0.0], [0.0, 9.0]]), np.array([[0.0, 0.0]])) == 9.0
+    assert hausdorff_per_class(*maps(square, square), 2) == 0.0
+    # a point against a segment's endpoints: the directed distances are 0
+    # and 9, and the symmetric distance is the larger
+    assert hausdorff_per_class(*maps([(0, 0)], [(0, 0), (0, 9)]), 2) == 9.0
+    assert hausdorff_per_class(*maps([(0, 0), (0, 9)], [(0, 0)]), 2) == 9.0
 
 
 def test_hausdorff_symmetric():
     rng = np.random.default_rng(4)
-    a = rng.random((8, 2)) * 10
-    b = rng.random((5, 2)) * 10
-    assert hausdorff(a, b) == hausdorff(b, a)
+    for _ in range(10):
+        pred = rng.integers(0, 3, (12, 12))
+        gt = rng.integers(0, 3, (12, 12))
+        assert hausdorff_per_class(pred, gt, 3) == hausdorff_per_class(gt, pred, 3)
 
 
 def test_hausdorff_empty_rejected():
-    with pytest.raises(TensorError, match="nonempty"):
-        hausdorff(np.zeros((0, 2)), np.array([[1.0, 1.0]]))
+    """A class with no pixels on one side has no distance: it is left out
+    with a warning, and with no other class the result is None."""
+    pred, gt = maps(np.zeros((0, 2), dtype=int), [(1, 1)])
+    warnings = []
+    assert hausdorff_per_class(pred, gt, 2, warn=warnings.append) is None
+    assert warnings == ["hausdorff undefined for class 1: one side empty"]
 
 
 def test_hausdorff_per_class_mean_and_exclusions():
@@ -185,7 +190,7 @@ def test_hausdorff_per_class_equals_point_set_mean(side):
         noise = rng.random(gt.shape) < 0.1 * k
         pred[noise] = rng.integers(0, 4, int(noise.sum()))
         want = [
-            hausdorff(np.argwhere(pred == c), np.argwhere(gt == c))
+            brute_hausdorff(np.argwhere(pred == c), np.argwhere(gt == c))
             for c in range(1, 4) if (pred == c).any() and (gt == c).any()
         ]
         got = hausdorff_per_class(pred, gt, num_classes=4, warn=lambda msg: None)

@@ -1,8 +1,10 @@
 import math
 import struct
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import swinmae.tensor as T
 from swinmae import training
@@ -313,6 +315,96 @@ def test_checkpoint_malformed_content_rejected(tmp_path, meta, names, match):
     path.write_bytes(_raw_checkpoint(meta, names))
     with pytest.raises(CheckpointError, match=match):
         load_checkpoint(path)
+
+
+def _two_tensor_checkpoint(path):
+    """A 104-byte checkpoint: three metadata lines, an f32 [2, 3] tensor "a.w"
+    whose rank byte is at offset 44, and an f64 [2] tensor "b" whose rank
+    byte is at offset 83."""
+    ps = ParamStore()
+    ps.add("a.w", Tensor(np.arange(6, dtype=np.float32).reshape(2, 3)))
+    ps.add("b", Tensor(np.array([1.0, 2.0])))
+    save_checkpoint(path, ps, {"epoch": 3, "seed": 0, "note": "x"})
+    blob = path.read_bytes()
+    assert len(blob) == 104 and (blob[44], blob[83]) == (2, 1)
+    return blob
+
+
+def test_checkpoint_dims_numpy_refuses_rejected(tmp_path):
+    """A raised rank reads the following bytes as dims. Where they hold a 0
+    beside huge dims every size check passes, yet numpy refuses the shape;
+    so it does for more than 64 dims."""
+    path = tmp_path / "ck.bin"
+    blob = _two_tensor_checkpoint(path)
+    for offset, rank, name in [(44, r, "a.w") for r in range(5, 15)] + [(83, 5, "b")]:
+        bad = bytearray(blob)
+        bad[offset] = rank
+        path.write_bytes(bytes(bad))
+        with pytest.raises(CheckpointError, match=f"tensor '{name}': dims"):
+            load_checkpoint(path)
+    path.write_bytes(_one_tensor_header(1, (1,) * 65) + b"\x00" * 8)
+    with pytest.raises(CheckpointError, match="tensor 'w': dims"):
+        load_checkpoint(path)
+
+
+# save refuses line breaks in metadata and "=" in its keys
+_META_TEXT = st.text(
+    st.characters(exclude_characters="\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+    max_size=6,
+)
+
+_ARRAYS = st.sampled_from([np.float32, np.float64]).flatmap(
+    lambda dtype: hnp.arrays(
+        dtype, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
+    )
+)
+
+
+def test_checkpoint_roundtrip_property(tmp_path):
+    path = tmp_path / "ck.bin"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        meta=st.dictionaries(_META_TEXT.filter(lambda k: "=" not in k), _META_TEXT, max_size=3),
+        arrays=st.dictionaries(st.text(max_size=6), _ARRAYS, max_size=3),
+    )
+    def check(meta, arrays):
+        ps = ParamStore()
+        for name, arr in arrays.items():
+            ps.add(name, Tensor(arr))
+        save_checkpoint(path, ps, meta)
+        got_meta, got = load_checkpoint(path)
+        assert got_meta == meta
+        assert set(got) == set(arrays)
+        for name, arr in arrays.items():
+            assert got[name].dtype == arr.dtype and got[name].shape == arr.shape
+            assert got[name].tobytes() == arr.tobytes()
+
+    check()
+
+
+def test_checkpoint_corruption_raises_only_checkpoint_error(tmp_path):
+    """Every truncation and any single-byte substitution either loads or
+    raises CheckpointError."""
+    path = tmp_path / "bad.bin"
+    blob = _two_tensor_checkpoint(tmp_path / "ck.bin")
+
+    def load(data):
+        path.write_bytes(data)
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass
+
+    for cut in range(len(blob)):
+        load(blob[:cut])
+
+    @settings(max_examples=400, deadline=None)
+    @given(offset=st.integers(0, len(blob) - 1), value=st.integers(0, 255))
+    def check(offset, value):
+        load(blob[:offset] + bytes([value]) + blob[offset + 1:])
+
+    check()
 
 
 def test_load_params_strict_errors():
