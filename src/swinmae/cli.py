@@ -18,11 +18,11 @@ from . import tensor as T
 from .tensor import Tensor, TensorError
 from .patches import PatchSpec
 from .masking import build_mask_plan, split_rng
-from .model import ModelSpec, SwinMae, pixel_mask
+from .model import ModelSpec, SwinMae
 from .training import load_checkpoint, load_params_strict, run_pretraining, write_csv
 from .segmentation import (
-    METRICS, SwinUnetSpec, build_swin_unet_from_checkpoint, evaluate_segmentation,
-    run_finetune,
+    METRICS, SwinUnet, SwinUnetSpec, build_swin_unet_from_checkpoint,
+    evaluate_segmentation, run_finetune,
 )
 from . import data as D
 from .config import RunConfig
@@ -128,9 +128,9 @@ def cmd_eval(args):
     manifest = D.scan_dataset(cfg.data_dir).split(cfg.seed)
     images, labels = D.load_labeled(manifest.labeled)
     _, tensors = load_checkpoint(args.checkpoint)
-    model, _ = build_swin_unet_from_checkpoint(None, _unet_spec(cfg), seed=cfg.seed)
+    model = SwinUnet(_unet_spec(cfg), seed=cfg.seed)
     load_params_strict(model.params, tensors)
-    report, _ = evaluate_segmentation(
+    report = evaluate_segmentation(
         model, images[manifest.test], labels[manifest.test], warn=_log
     )
     _log("metric     value")
@@ -160,7 +160,7 @@ def cmd_mask_demo(args):
     plan = build_mask_plan(args.d, args.r, args.ratio, rng, mode=args.mode)
     visible_windows = int(round(len(plan.keep_indices) / (args.r * args.r)))
     cell = max(2, 64 // plan.side)
-    px = pixel_mask(plan, plan.side * cell, plan.side * cell)
+    px = plan.pixel_mask(plan.side * cell, plan.side * cell)
     # checkerboard background so kept windows are visibly structured
     yy, xx = np.mgrid[0:plan.side * cell, 0:plan.side * cell]
     board = 0.35 + 0.4 * (((yy // cell) + (xx // cell)) % 2)
@@ -195,7 +195,8 @@ def run_grid(rows, seeds, pretrain_cfg, finetune_cfg):
 
     A row is (tag, `ModelSpec` overrides plus `mask_mode` or None for no
     pretraining, Swin-Unet overrides); each phase reads its data, schedule
-    and spec defaults from its config. Repeated runs are reused: pretrainings
+    and spec defaults from its config, and pretraining its mask mode where
+    the row names none. Repeated runs are reused: pretrainings
     are keyed by (spec repr, mask mode, seed), fine-tunes by that key, or
     (None, seed), and the Swin-Unet spec repr. Returns, per row and seed,
     (pretraining loss history or None, fine-tune history, best epoch), or
@@ -210,7 +211,7 @@ def run_grid(rows, seeds, pretrain_cfg, finetune_cfg):
         unet = _unet_spec(finetune_cfg, **unet_kw)
         if pre_kw is not None:
             pre_kw = dict(pre_kw)
-            mode = pre_kw.pop("mask_mode", "window")
+            mode = pre_kw.pop("mask_mode", pretrain_cfg.mask_mode)
             try:
                 spec = _model_spec(pretrain_cfg, **pre_kw)
             except TensorError as exc:

@@ -15,7 +15,6 @@ import numpy as np
 
 from .tensor import TensorError
 from .masking import split_rng
-from .model import pixel_mask
 
 
 class ImageFormatError(ValueError):
@@ -227,7 +226,7 @@ def emit_triptych(image, recon, plan, path, sep=2):
     if image.shape != recon.shape:
         raise TensorError(f"extent mismatch {image.shape} vs {recon.shape}")
     c, h, w = image.shape
-    mask = pixel_mask(plan, h, w)
+    mask = plan.pixel_mask(h, w)
     masked = image.copy()
     masked[:, mask > 0] = 0.5
     panels = [masked, np.clip(recon, 0.0, 1.0), image]

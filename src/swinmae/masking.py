@@ -26,7 +26,6 @@ def split_rng(seed, *keys):
 class MaskPlan:
     d: int
     r: int
-    mask_ratio: float
     mask_flags: np.ndarray  # per-token bool over the d*r by d*r grid, True = masked
     mode: str = "window"
 
@@ -42,6 +41,16 @@ class MaskPlan:
     @property
     def n_tokens(self):
         return self.side * self.side
+
+    def pixel_mask(self, h, w):
+        """0/1 pixel map of the masked area of an h x w image."""
+        if h % self.side or w % self.side:
+            raise TensorError(
+                f"image {h}x{w} not divisible by plan side {self.side}"
+            )
+        p = h // self.side
+        flags = self.mask_flags.reshape(self.side, self.side).astype(np.float64)
+        return np.kron(flags, np.ones((p, p)))
 
 
 def expand_sparse_index(x, d, r):
@@ -82,7 +91,7 @@ def build_mask_plan(d, r, mask_ratio, rng, mode="window"):
     tops = expand_sparse_index(sparse_keep, wd, wr)
     flags = np.ones(n_windows * wr * wr, dtype=bool)
     flags[tops[:, None] + window_member_offsets(wd, wr)[None, :]] = False
-    return MaskPlan(d=d, r=r, mask_ratio=mask_ratio, mask_flags=flags, mode=mode)
+    return MaskPlan(d=d, r=r, mask_flags=flags, mode=mode)
 
 
 def apply_mask_tokens(g, plan, mask_vector):
@@ -105,7 +114,7 @@ def apply_mask_tokens(g, plan, mask_vector):
     )
     keep = Tensor(1.0 - m.data)
     out = T.add(T.mul(g.data, keep), T.mul(mask_vector, m))
-    return TokenGrid(g.batch, g.h_tokens, g.w_tokens, g.dim, out)
+    return TokenGrid(g.h_tokens, g.w_tokens, out)
 
 
 def kept_window_grid(g, plan):
@@ -131,8 +140,5 @@ def kept_window_grid(g, plan):
     # token order (window row, in-window row, window column, in-window
     # column) is the row-major token order of the packed grid
     order = (tops[:, None, :, None] + offs[None, :, None, :]).reshape(-1)
-    x = T.transpose(g.data, (1, 0, 2))
-    x = T.gather(x, order, axis=0)
-    x = T.transpose(x, (1, 0, 2))
     side = side_w * r
-    return TokenGrid(g.batch, side, side, g.dim, x)
+    return TokenGrid(side, side, T.gather(g.data, order, axis=1))

@@ -228,7 +228,7 @@ def attention(xw, ps, prefix, heads, rel_index=None, mask=None):
     """
     _, t, c = xw.shape
     q, k, v = (
-        T.split_heads(T.linear(xw, ps[f"{prefix}.{nm}.w"], ps[f"{prefix}.{nm}.b"]), heads)
+        T.split_heads(T.matmul(xw, ps[f"{prefix}.{nm}.w"], ps[f"{prefix}.{nm}.b"]), heads)
         for nm in ("wq", "wk", "wv")
     )
     bias = None
@@ -237,7 +237,7 @@ def attention(xw, ps, prefix, heads, rel_index=None, mask=None):
         bias = T.reshape(bias, (t, t, heads))
         bias = T.reshape(T.transpose(bias, (2, 0, 1)), (1, heads, t, t))
     out = T.window_attention(q, k, v, mask, scale=1.0 / np.sqrt(c // heads), bias=bias)
-    return T.linear(out, ps[prefix + ".proj.w"], ps[prefix + ".proj.b"])
+    return T.matmul(out, ps[prefix + ".proj.w"], ps[prefix + ".proj.b"])
 
 
 def swin_block_forward(g, ps, prefix, heads, window, shifted):
@@ -251,7 +251,7 @@ def swin_block_forward(g, ps, prefix, heads, window, shifted):
         rel_index = relative_position_index(side)
     shortcut = g.data
     x = T.layer_norm(g.data, ps[prefix + ".norm1.g"], ps[prefix + ".norm1.b"])
-    xg = TokenGrid(g.batch, g.h_tokens, g.w_tokens, g.dim, x)
+    xg = TokenGrid(g.h_tokens, g.w_tokens, x)
     mask = None
     if shifted:
         shift = side // 2
@@ -265,7 +265,7 @@ def swin_block_forward(g, ps, prefix, heads, window, shifted):
     h = T.layer_norm(x, ps[prefix + ".norm2.g"], ps[prefix + ".norm2.b"])
     h = T.mlp(h, *(ps[f"{prefix}.mlp.{nm}"] for nm in ("fc1.w", "fc1.b", "fc2.w", "fc2.b")))
     x = T.add(x, h)
-    return TokenGrid(g.batch, g.h_tokens, g.w_tokens, g.dim, x)
+    return TokenGrid(g.h_tokens, g.w_tokens, x)
 
 
 def run_stage(g, ps, prefix, depth, heads, window):
@@ -290,9 +290,7 @@ def encoder_forward(image, spec, plan, ps, mask_token=None):
         ps["enc.embed.w"], ps["enc.embed.b"],
     )
     if "enc.pos_embed" in ps:
-        g = TokenGrid(
-            g.batch, g.h_tokens, g.w_tokens, g.dim, T.add(g.data, ps["enc.pos_embed"]),
-        )
+        g = TokenGrid(g.h_tokens, g.w_tokens, T.add(g.data, ps["enc.pos_embed"]))
     if plan is not None:
         if plan.side != spec.enc_input_side:
             raise TensorError(
@@ -331,10 +329,10 @@ def expanding_path(g, ps, spec, prefix, skips=None):
         g = P.patch_expanding(g, ps[f"{prefix}.expand{k}.w"], ps[f"{prefix}.expand{k}.b"])
         if skips is not None:
             fused = T.add(
-                T.linear(g.data, ps[f"{prefix}.skip{k}.up.w"], ps[f"{prefix}.skip{k}.up.b"]),
-                T.linear(skips[k].data, ps[f"{prefix}.skip{k}.lat.w"]),
+                T.matmul(g.data, ps[f"{prefix}.skip{k}.up.w"], ps[f"{prefix}.skip{k}.up.b"]),
+                T.matmul(skips[k].data, ps[f"{prefix}.skip{k}.lat.w"]),
             )
-            g = TokenGrid(g.batch, g.h_tokens, g.w_tokens, g.dim, fused)
+            g = TokenGrid(g.h_tokens, g.w_tokens, fused)
         g = run_stage(
             g, ps, f"{prefix}.stage{k}", spec.stage_depths[k],
             spec.head_counts[k], spec.attn_window,
@@ -414,14 +412,14 @@ class SwinMae:
         if spec.decoder_variant == "VIT":
             x = latent.data
             if spec.decoder_width:
-                x = T.linear(x, ps["dec.embed.w"], ps["dec.embed.b"])
-            g = TokenGrid(latent.batch, latent.h_tokens, latent.w_tokens, x.shape[-1], x)
+                x = T.matmul(x, ps["dec.embed.w"], ps["dec.embed.b"])
+            g = TokenGrid(latent.h_tokens, latent.w_tokens, x)
             # one window over the whole grid: global attention, never shifted
             g = run_stage(g, ps, "dec", spec.decoder_depth, self._dec_heads, g.h_tokens)
         else:
             g = expanding_path(latent, ps, spec, "dec")
         x = T.layer_norm(g.data, ps["dec.norm.g"], ps["dec.norm.b"])
-        return T.linear(x, ps["dec.proj.w"], ps["dec.proj.b"])
+        return T.matmul(x, ps["dec.proj.w"], ps["dec.proj.b"])
 
     def forward(self, image, plan):
         """[B,C,H,W] image -> reconstruction at the encoder's input size."""
@@ -441,20 +439,6 @@ class SwinMae:
             target = upscale2x(image)
         return masked_mse_loss(recon, target, plan)
 
-    def encoder_param_names(self):
-        return [n for n in self.params.names() if n.startswith("enc.")]
-
-
-def pixel_mask(plan, h, w):
-    """0/1 pixel map of the masked area implied by a token-level plan."""
-    if h % plan.side or w % plan.side:
-        raise TensorError(
-            f"image {h}x{w} not divisible by plan side {plan.side}"
-        )
-    p = h // plan.side
-    flags = plan.mask_flags.reshape(plan.side, plan.side).astype(np.float64)
-    return np.kron(flags, np.ones((p, p)))
-
 
 def masked_mse_loss(recon, target, plan):
     """Mean squared error over masked pixels only."""
@@ -463,7 +447,7 @@ def masked_mse_loss(recon, target, plan):
             f"reconstruction {recon.shape} vs target {target.shape}"
         )
     b, c, h, w = recon.shape
-    mask = pixel_mask(plan, h, w).astype(recon.dtype)
+    mask = plan.pixel_mask(h, w).astype(recon.dtype)
     n_masked = int(mask.sum())
     if n_masked == 0:
         raise TensorError("mask plan has zero masked pixels")

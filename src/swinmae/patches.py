@@ -32,18 +32,25 @@ class PatchSpec:
 
 @dataclass
 class TokenGrid:
-    batch: int
     h_tokens: int
     w_tokens: int
-    dim: int
     data: Tensor  # [batch, h_tokens * w_tokens, dim]
 
     def __post_init__(self):
-        expect = (self.batch, self.h_tokens * self.w_tokens, self.dim)
-        if self.data.shape != expect:
+        shape = self.data.shape
+        if len(shape) != 3 or shape[1] != self.h_tokens * self.w_tokens:
             raise TensorError(
-                f"TokenGrid data shape {self.data.shape} != {expect}"
+                f"TokenGrid data shape {shape} is not [batch, "
+                f"{self.h_tokens}*{self.w_tokens}, dim]"
             )
+
+    @property
+    def batch(self):
+        return self.data.shape[0]
+
+    @property
+    def dim(self):
+        return self.data.shape[2]
 
 
 def flatten_patches(image, patch_side):
@@ -72,16 +79,16 @@ def unflatten_patches(tokens, h, w, c, patch_side):
 
 def patch_partition(image, spec, embed_w, embed_b=None):
     """Split [B,C,H,W] into patches and linearly embed each one."""
-    b, c, h, w = image.shape
+    _, c, h, w = image.shape
     if (h, w, c) != (spec.image_h, spec.image_w, spec.channels):
         raise TensorError(
             f"image shape {(h, w, c)} does not match spec "
             f"{(spec.image_h, spec.image_w, spec.channels)}"
         )
     flat = flatten_patches(image, spec.patch_side)
-    emb = T.linear(flat, embed_w, embed_b)
+    emb = T.matmul(flat, embed_w, embed_b)
     gh, gw = h // spec.patch_side, w // spec.patch_side
-    return TokenGrid(b, gh, gw, emb.shape[-1], emb)
+    return TokenGrid(gh, gw, emb)
 
 
 def patch_merging(g, reduce_w, reduce_b=None, norm_gamma=None, norm_beta=None):
@@ -96,8 +103,8 @@ def patch_merging(g, reduce_w, reduce_b=None, norm_gamma=None, norm_beta=None):
     x = T.reshape(x, (b, (h // 2) * (w // 2), 4 * d))
     if norm_gamma is not None:
         x = T.layer_norm(x, norm_gamma, norm_beta)
-    x = T.linear(x, reduce_w, reduce_b)
-    return TokenGrid(b, h // 2, w // 2, x.shape[-1], x)
+    x = T.matmul(x, reduce_w, reduce_b)
+    return TokenGrid(h // 2, w // 2, x)
 
 
 def patch_expanding(g, expand_w, expand_b=None):
@@ -105,11 +112,11 @@ def patch_expanding(g, expand_w, expand_b=None):
     if g.dim % 2:
         raise TensorError(f"patch_expanding needs even dim, got {g.dim}")
     b, h, w, d = g.batch, g.h_tokens, g.w_tokens, g.dim
-    x = T.linear(g.data, expand_w, expand_b)  # [b, h*w, 2d] = 4 * (d/2)
+    x = T.matmul(g.data, expand_w, expand_b)  # [b, h*w, 2d] = 4 * (d/2)
     x = T.reshape(x, (b, h, w, 2, 2, d // 2))
     x = T.transpose(x, (0, 1, 3, 2, 4, 5))
     x = T.reshape(x, (b, (2 * h) * (2 * w), d // 2))
-    return TokenGrid(b, 2 * h, 2 * w, d // 2, x)
+    return TokenGrid(2 * h, 2 * w, x)
 
 
 def window_partition(g, side):
@@ -132,7 +139,7 @@ def window_reverse(windows, side, batch, h_tokens, w_tokens):
     )
     x = T.transpose(x, (0, 1, 3, 2, 4, 5))
     x = T.reshape(x, (batch, h_tokens * w_tokens, d))
-    return TokenGrid(batch, h_tokens, w_tokens, d, x)
+    return TokenGrid(h_tokens, w_tokens, x)
 
 
 def _shift_region_ids(h, w, side, shift):
@@ -167,7 +174,7 @@ def cyclic_shift(g, shift, side):
     x = T.roll(x, (-shift, -shift), (1, 2))
     x = T.reshape(x, (b, h * w, d))
     mask = shift_attention_mask(h, w, side, shift, dtype=g.data.dtype)
-    return TokenGrid(b, h, w, d, x), mask
+    return TokenGrid(h, w, x), mask
 
 
 def cyclic_unshift(g, shift):
@@ -175,4 +182,4 @@ def cyclic_unshift(g, shift):
     x = T.reshape(g.data, (b, h, w, d))
     x = T.roll(x, (shift, shift), (1, 2))
     x = T.reshape(x, (b, h * w, d))
-    return TokenGrid(b, h, w, d, x)
+    return TokenGrid(h, w, x)

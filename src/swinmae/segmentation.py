@@ -93,7 +93,7 @@ class SwinUnet:
         g, skips = encoder_forward(image, self._backbone, None, ps)
         g = expanding_path(g, ps, self._backbone, "up", skips)
         x = T.layer_norm(g.data, ps["head.norm.g"], ps["head.norm.b"])
-        x = T.linear(x, ps["head.proj.w"], ps["head.proj.b"])
+        x = T.matmul(x, ps["head.proj.w"], ps["head.proj.b"])
         h, w, c = spec.image.image_h, spec.image.image_w, spec.num_classes
         # token (p*p*ncls) blocks back to pixel logits
         img = P.unflatten_patches(
@@ -193,13 +193,11 @@ def augment_batch(images, labels, rng):
 
 
 def evaluate_segmentation(model, images, labels, warn=None):
-    """Per-image metrics averaged over the set; returns the report dict and
-    the per-image confusion counts used to build it. Predictions are made
-    EVAL_BATCH images per forward pass."""
+    """Per-image metrics averaged over the set; returns the report dict.
+    Predictions are made EVAL_BATCH images per forward pass."""
     if images.shape[0] == 0:
         raise TensorError("empty evaluation set")
     ncls = model.spec.num_classes
-    per_image = []
     dsc, mpa, miou, hds = [], [], [], []
     preds = np.concatenate([
         model.predict(images[i:i + EVAL_BATCH])
@@ -209,7 +207,6 @@ def evaluate_segmentation(model, images, labels, warn=None):
         counts = {
             c: M.confusion_counts(pred, gt, c, ncls) for c in range(ncls)
         }
-        per_image.append(counts)
         area = M.area_metrics(counts)
         dsc.append(area["dsc"])
         mpa.append(area["mpa"])
@@ -223,7 +220,7 @@ def evaluate_segmentation(model, images, labels, warn=None):
         "miou_pct": float(np.mean(miou)),
         "hd": float(np.mean(hds)) if hds else float("nan"),
     }
-    return report, per_image
+    return report
 
 
 def run_finetune(
@@ -250,7 +247,7 @@ def run_finetune(
     history = []
     best_miou, best_epoch = -1.0, -1
     for epoch, lr, _ in train_epochs(model, epochs, lr_max, batch_size, batches):
-        report, _ = evaluate_segmentation(model, test_images, test_labels)
+        report = evaluate_segmentation(model, test_images, test_labels)
         history.append(report)
         if log:
             log(

@@ -82,25 +82,17 @@ class Tape:
         self.nodes = []
 
     def __enter__(self):
-        _push_tape(self)
+        _TAPE_STACK.append(self)
         return self
 
     def __exit__(self, *exc):
-        _pop_tape(self)
+        if not _TAPE_STACK or _TAPE_STACK[-1] is not self:
+            raise TensorError("tape stack corrupted")
+        _TAPE_STACK.pop()
         return False
 
 
 _TAPE_STACK = []
-
-
-def _push_tape(tape):
-    _TAPE_STACK.append(tape)
-
-
-def _pop_tape(tape):
-    if not _TAPE_STACK or _TAPE_STACK[-1] is not tape:
-        raise TensorError("tape stack corrupted")
-    _TAPE_STACK.pop()
 
 
 def active_tape():
@@ -355,10 +347,6 @@ def matmul(a, b, bias=None):
 
     inputs = (a, b) if bias is None else (a, b, bias)
     return _record("matmul", inputs, out, bw)
-
-
-def linear(x, w, b=None):
-    return matmul(x, w, b)
 
 
 # ------------------------------------------------------------- fused kernels

@@ -7,7 +7,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,24 +15,9 @@ from .tensor import Tensor, TensorError
 from .masking import build_mask_plan, split_rng
 
 
-@dataclass
-class ScheduleConfig:
-    lr_max: float
-    m: int  # total epochs
-    i: int  # current epoch, 0-based
-
-    def __post_init__(self):
-        if self.m == 0:
-            raise TensorError("schedule: total epochs must be > 0")
-        if not 0 <= self.i <= self.m:
-            raise TensorError(f"schedule: epoch {self.i} outside [0, {self.m}]")
-        if self.lr_max <= 0:
-            raise TensorError("schedule: lr_max must be > 0")
-
-
-def cosine_lr(cfg):
-    """Half-cycle cosine decay from lr_max at epoch 0 to 0 at epoch m."""
-    return cfg.lr_max * (1.0 + math.cos(cfg.i / cfg.m * math.pi)) / 2.0
+def cosine_lr(lr_max, epoch, epochs):
+    """Half-cycle cosine decay from lr_max at epoch 0 to 0 at `epochs`."""
+    return lr_max * (1.0 + math.cos(epoch / epochs * math.pi)) / 2.0
 
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -99,6 +83,13 @@ class CheckpointError(ValueError):
     pass
 
 
+def _encoded(text, what):
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise CheckpointError(f"{what} cannot be encoded as UTF-8: {exc}") from None
+
+
 def _metadata_block(metadata):
     lines = []
     for k, v in sorted((metadata or {}).items()):
@@ -110,7 +101,7 @@ def _metadata_block(metadata):
                 "neither may contain a line break"
             )
         lines.append(line + "\n")
-    return "".join(lines).encode("utf-8")
+    return _encoded("".join(lines), "metadata")
 
 
 def save_checkpoint(path, params, metadata=None):
@@ -119,18 +110,18 @@ def save_checkpoint(path, params, metadata=None):
     rank u8, u32 dims, little-endian payload.
 
     The file is written next to `path` and renamed over it, so a failed
-    write leaves the previous checkpoint intact."""
+    write leaves the previous checkpoint intact. Text that cannot be
+    encoded as UTF-8 raises CheckpointError before the file is opened."""
     meta = _metadata_block(metadata)
+    items = [(_encoded(name, "tensor name"), p) for name, p in params.items()]
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
             f.write(_MAGIC)
             f.write(struct.pack("<I", len(meta)))
             f.write(meta)
-            items = params.items()
             f.write(struct.pack("<I", len(items)))
-            for name, p in items:
-                nb = name.encode("utf-8")
+            for nb, p in items:
                 f.write(struct.pack("<I", len(nb)))
                 f.write(nb)
                 f.write(struct.pack("<BB", _DTYPE_CODES[p.dtype], p.data.ndim))
@@ -242,9 +233,11 @@ def train_epochs(model, epochs, lr_max, batch_size, batches):
         raise TensorError(
             f"epochs and batch_size must be >= 1, got {epochs} and {batch_size}"
         )
+    if lr_max <= 0:
+        raise TensorError(f"lr_max must be > 0, got {lr_max}")
     optimizer = Adam(model.params)
     for epoch in range(epochs):
-        lr = cosine_lr(ScheduleConfig(lr_max, epochs, epoch))
+        lr = cosine_lr(lr_max, epoch, epochs)
         losses = [
             train_step(model, x, target, optimizer, lr) for x, target in batches(epoch)
         ]

@@ -18,7 +18,7 @@ from swinmae.model import (
     ModelSpec, SwinMae, desk_spec, masked_mse_loss, swin_block_forward,
 )
 from swinmae.training import (
-    Adam, ScheduleConfig, cosine_lr, load_checkpoint, load_params_strict,
+    Adam, cosine_lr, load_checkpoint, load_params_strict,
     run_pretraining, save_checkpoint, train_step,
 )
 from swinmae.segmentation import SwinUnetSpec, build_swin_unet_from_checkpoint
@@ -107,7 +107,7 @@ def test_criterion_03_gradient_correctness():
     run(lambda x: T.sum_(T.add(x, Tensor(b))), a.copy())
     run(lambda x: T.sum_(T.matmul(x, Tensor(w))), a.copy())
     bias = Tensor(rng.standard_normal(5))
-    run(lambda x: T.sum_(T.linear(x, Tensor(w), bias)), a.copy())
+    run(lambda x: T.sum_(T.matmul(x, Tensor(w), bias)), a.copy())
     run(lambda x: T.sum_(T.sqrt(x)), rng.random((3, 4)) + 0.5)
     run(lambda x: T.sum_(T.exp(x)), 0.3 * a.copy())
     run(lambda x: T.sum_(T.gelu(x)), a.copy())
@@ -156,9 +156,7 @@ def test_criterion_04_loss_locality():
         with T.Tape() as tape:
             loss = masked_mse_loss(recon, Tensor(target), plan)
         T.backward(loss, tape)
-        from swinmae.model import pixel_mask
-
-        visible = pixel_mask(plan, px, px) == 0
+        visible = plan.pixel_mask(px, px) == 0
         ok = ok and np.all(recon.grad[:, :, visible] == 0.0)
         ok = ok and np.any(recon.grad[:, :, ~visible] != 0.0)
     check(4, "loss locality", ok, "visible-pixel grads bit-zero, 50 cases")
@@ -188,13 +186,13 @@ def test_criterion_05_window_isolation_and_shift():
         ps = _block_params(dim, 2, window, seed=case)
         base = rng.standard_normal((1, side * side, dim))
         ref = swin_block_forward(
-            TokenGrid(1, side, side, dim, Tensor(base)), ps, "blk", 2, window, False
+            TokenGrid(side, side, Tensor(base)), ps, "blk", 2, window, False
         ).data.data
         probe = int(rng.integers(0, side * side))
         bumped = base.copy()
         bumped[0, probe, 0] += 1.0
         got = swin_block_forward(
-            TokenGrid(1, side, side, dim, Tensor(bumped)), ps, "blk", 2, window, False
+            TokenGrid(side, side, Tensor(bumped)), ps, "blk", 2, window, False
         ).data.data
         pw = _window_of(probe, side, window)
         for t in range(side * side):
@@ -210,12 +208,12 @@ def test_criterion_05_window_isolation_and_shift():
         while probe in corners:
             probe = int(rng.integers(0, side * side))
         ref = swin_block_forward(
-            TokenGrid(1, side, side, dim, Tensor(base)), ps, "blk", 2, window, True
+            TokenGrid(side, side, Tensor(base)), ps, "blk", 2, window, True
         ).data.data
         bumped = base.copy()
         bumped[0, probe, 0] += 1.0
         got = swin_block_forward(
-            TokenGrid(1, side, side, dim, Tensor(bumped)), ps, "blk", 2, window, True
+            TokenGrid(side, side, Tensor(bumped)), ps, "blk", 2, window, True
         ).data.data
         pw = _window_of(probe, side, window)
         crossed = any(
@@ -265,9 +263,9 @@ def test_criterion_06_full_scale_shape_contracts():
 
 def test_criterion_07_schedule_values():
     lr_max, m = 1e-4, 40
-    start = cosine_lr(ScheduleConfig(lr_max, m, 0))
-    end = cosine_lr(ScheduleConfig(lr_max, m, m))
-    mid = cosine_lr(ScheduleConfig(lr_max, m, m // 2))
+    start = cosine_lr(lr_max, 0, m)
+    end = cosine_lr(lr_max, m, m)
+    mid = cosine_lr(lr_max, m // 2, m)
     ok = (
         start == lr_max
         and end == 0.0

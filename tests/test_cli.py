@@ -253,9 +253,8 @@ def test_ablate_drops_vit_decoder_width_for_swin_row(tmp_path, capsys):
     run_ablate(tmp_path, "decoder_variant=VIT", "decoder_width=32")
 
 
-def test_ablate_pretrains_each_distinct_configuration_once(tmp_path, capsys, monkeypatch):
-    """encoder-III is decoder-vit's spec, and decoder-swin, masking-window
-    and ratio-0.75 share the default one: 12 pretraining rows, 9 runs."""
+def record_pretraining_modes(monkeypatch):
+    """The mask mode of every pretraining that cli runs, in call order."""
     calls = []
     real = cli.run_pretraining
 
@@ -264,8 +263,35 @@ def test_ablate_pretrains_each_distinct_configuration_once(tmp_path, capsys, mon
         return real(*args, **kw)
 
     monkeypatch.setattr(cli, "run_pretraining", counted)
+    return calls
+
+
+def test_ablate_pretrains_each_distinct_configuration_once(tmp_path, capsys, monkeypatch):
+    """encoder-III is decoder-vit's spec, and decoder-swin, masking-window
+    and ratio-0.75 share the default one: 12 pretraining rows, 9 runs."""
+    calls = record_pretraining_modes(monkeypatch)
     run_ablate(tmp_path)
     assert sorted(calls) == ["random"] + ["window"] * 8
+
+
+def test_ablate_rows_without_a_mask_mode_take_the_configs(tmp_path, capsys, monkeypatch):
+    """With mask_mode=random every pretraining row but masking-window
+    pretrains with random masking, so the encoder-II rows, which can only
+    pack whole windows, are skipped."""
+    calls = record_pretraining_modes(monkeypatch)
+    data_dir = gen(tmp_path, n_unlabeled=4, n_labeled=5)
+    out_dir = tmp_path / "ablate"
+    sets = [f"data_dir={data_dir}", f"out_dir={out_dir}", "epochs=1",
+            "batch_size=4", "augment=false", "mask_mode=random"]
+    assert cli_main(["ablate", *(a for kv in sets for a in ("--set", kv))]) == 0
+    assert sorted(calls) == ["random"] * 8 + ["window"]
+    out = capsys.readouterr().out
+    for tag in ("encoder-II", "encoder-II+pe"):
+        assert f"{tag}: skipped (cannot pack the kept windows of a random-mode plan)" in out
+    _, *rows = (out_dir / "ablation.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows] == [
+        t for t in ABLATION_TAGS if t not in ("encoder-II", "encoder-II+pe")
+    ]
 
 
 def test_ablate_skips_every_row_whose_pretraining_fails(tmp_path, capsys, monkeypatch):
@@ -273,14 +299,7 @@ def test_ablate_skips_every_row_whose_pretraining_fails(tmp_path, capsys, monkey
     pretrains with it is logged as skipped, and each failed configuration is
     tried once: the encoder-II spec fails when built, then 4 failing and 5
     succeeding distinct pretrainings run."""
-    calls = []
-    real = cli.run_pretraining
-
-    def counted(*args, **kw):
-        calls.append(kw["mask_mode"])
-        return real(*args, **kw)
-
-    monkeypatch.setattr(cli, "run_pretraining", counted)
+    calls = record_pretraining_modes(monkeypatch)
     data_dir = gen(tmp_path, n_unlabeled=8, n_labeled=6)
     out_dir = tmp_path / "ablate"
     sets = [f"data_dir={data_dir}", f"out_dir={out_dir}", "epochs=1", "mask_ratio=0.95"]

@@ -201,9 +201,7 @@ def test_triptych_layout_and_masking(tmp_path):
     # right panel is the untouched ground truth
     np.testing.assert_allclose(back[:, :, -32:], image, atol=1.0 / 255)
     # masked windows in the left panel are flat gray
-    from swinmae.model import pixel_mask
-
-    mask = pixel_mask(plan, 32, 32) > 0
+    mask = plan.pixel_mask(32, 32) > 0
     left = back[:, :, :32]
     assert np.allclose(left[:, mask], 128 / 255, atol=1.0 / 255)
     # visible pixels survive

@@ -131,9 +131,8 @@ def test_random_mode_is_tokenwise():
 
 def grid_of(tokens):
     arr = np.asarray(tokens, dtype=np.float64)
-    b, l, dim = arr.shape
-    side = int(round(np.sqrt(l)))
-    return TokenGrid(b, side, side, dim, Tensor(arr))
+    side = int(round(np.sqrt(arr.shape[1])))
+    return TokenGrid(side, side, Tensor(arr))
 
 
 def test_apply_mask_tokens_zero_masked():

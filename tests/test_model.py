@@ -9,7 +9,7 @@ from swinmae.patches import PatchSpec, TokenGrid, flatten_patches, unflatten_pat
 from swinmae.masking import build_mask_plan, split_rng
 from swinmae import patches as P
 from swinmae.model import (
-    ModelSpec, SwinMae, attention, desk_spec, masked_mse_loss, pixel_mask,
+    ModelSpec, SwinMae, attention, desk_spec, masked_mse_loss,
     relative_position_index, swin_block_forward, _init_block,
 )
 from swinmae.segmentation import SwinUnet, SwinUnetSpec
@@ -23,9 +23,7 @@ def block_params(dim, heads, window, seed=0):
 
 
 def rand_grid(rng, side, dim, batch=1):
-    return TokenGrid(
-        batch, side, side, dim, Tensor(rng.standard_normal((batch, side * side, dim)))
-    )
+    return TokenGrid(side, side, Tensor(rng.standard_normal((batch, side * side, dim))))
 
 
 def test_block_zero_projections_is_identity():
@@ -48,13 +46,13 @@ def test_unshifted_block_window_isolation():
         ps = block_params(dim, 2, window, seed=case)
         base = rng.standard_normal((1, side * side, dim))
         ref = swin_block_forward(
-            TokenGrid(1, side, side, dim, Tensor(base)), ps, "blk", 2, window, False
+            TokenGrid(side, side, Tensor(base)), ps, "blk", 2, window, False
         ).data.data
         probe = int(rng.integers(0, side * side))
         bumped = base.copy()
         bumped[0, probe, 0] += 1.0
         got = swin_block_forward(
-            TokenGrid(1, side, side, dim, Tensor(bumped)), ps, "blk", 2, window, False
+            TokenGrid(side, side, Tensor(bumped)), ps, "blk", 2, window, False
         ).data.data
         pw = _window_of(probe, side, window)
         for t in range(side * side):
@@ -70,7 +68,7 @@ def test_shifted_block_crosses_window_boundary():
         ps = block_params(dim, 2, window, seed=100 + case)
         base = rng.standard_normal((1, side * side, dim))
         ref = swin_block_forward(
-            TokenGrid(1, side, side, dim, Tensor(base)), ps, "blk", 2, window, True
+            TokenGrid(side, side, Tensor(base)), ps, "blk", 2, window, True
         ).data.data
         # Corner tokens land in the wrap-around shifted window where the
         # attention mask isolates every member, so they cannot cross.
@@ -81,7 +79,7 @@ def test_shifted_block_crosses_window_boundary():
         bumped = base.copy()
         bumped[0, probe, 0] += 1.0
         got = swin_block_forward(
-            TokenGrid(1, side, side, dim, Tensor(bumped)), ps, "blk", 2, window, True
+            TokenGrid(side, side, Tensor(bumped)), ps, "blk", 2, window, True
         ).data.data
         pw = _window_of(probe, side, window)
         for t in range(side * side):
@@ -256,7 +254,7 @@ def test_masked_loss_ignores_visible_pixels():
     rng = np.random.default_rng(7)
     target = rng.random((1, 3, 16, 16))
     recon = target.copy()
-    visible = pixel_mask(plan, 16, 16) == 0
+    visible = plan.pixel_mask(16, 16) == 0
     recon[:, :, visible] += rng.random((1, 3, int(visible.sum())))
     assert masked_mse_loss(Tensor(recon), Tensor(target), plan).item() == 0.0
 
@@ -267,7 +265,7 @@ def test_masked_loss_matches_pixel_loop_oracle():
     recon = rng.random((2, 3, 16, 16))
     target = rng.random((2, 3, 16, 16))
     got = masked_mse_loss(Tensor(recon), Tensor(target), plan).item()
-    mask = pixel_mask(plan, 16, 16)
+    mask = plan.pixel_mask(16, 16)
     total, count = 0.0, 0
     for b in range(2):
         for c in range(3):
@@ -295,7 +293,7 @@ def test_loss_gradient_bit_zero_at_visible_pixels():
         with Tape() as tape:
             loss = masked_mse_loss(recon, target, plan)
         T.backward(loss, tape)
-        visible = pixel_mask(plan, 16, 16) == 0
+        visible = plan.pixel_mask(16, 16) == 0
         assert np.all(recon.grad[:, :, visible] == 0.0)
         assert np.any(recon.grad[:, :, ~visible] != 0.0)
 
@@ -333,6 +331,24 @@ def test_desk_loss_tape_node_count():
     with Tape() as tape:
         model.loss(image, plan)
     assert sum(n.output.data.nbytes for n in tape.nodes) == 7134248
+
+
+@pytest.mark.parametrize("decoder,nodes", [("VIT", 157), ("SWIN", 200)])
+def test_variant_ii_loss_tape_node_count(decoder, nodes):
+    """Variant II packs the kept windows into the half-side grid with one
+    gather node along the token axis."""
+    spec = desk_spec(encoder_variant="II", decoder_variant=decoder)
+    model = SwinMae(spec, seed=0)
+    plan = build_mask_plan(
+        spec.mask_grid_d, spec.mask_window_r, spec.mask_ratio, split_rng(0, 1)
+    )
+    with Tape() as tape:
+        model.loss(Tensor(split_rng(0, 2).random((2, 3, 32, 32))), plan)
+    assert len(tape.nodes) == nodes
+    # the patch embedding, then the packing, straight into the first block
+    assert [(n.op, n.output.shape) for n in tape.nodes[:3]] == [
+        ("matmul", (2, 256, 16)), ("gather", (2, 64, 16)), ("layer_norm", (2, 64, 16)),
+    ]
 
 
 def tape_owned_bytes(tape):
@@ -480,9 +496,9 @@ def test_vit_decoder_block_mixes_globally():
     assert side > spec.attn_window
     rng = np.random.default_rng(4)
     lat = rng.standard_normal((1, side * side, dim))
-    base = model.decode(TokenGrid(1, side, side, dim, Tensor(lat))).data
+    base = model.decode(TokenGrid(side, side, Tensor(lat))).data
     lat[0, 0] += rng.standard_normal(dim)
-    out = model.decode(TokenGrid(1, side, side, dim, Tensor(lat))).data
+    out = model.decode(TokenGrid(side, side, Tensor(lat))).data
     assert np.all(np.any(out != base, axis=-1))
 
 

@@ -9,9 +9,19 @@ from swinmae.patches import PatchSpec, TokenGrid
 
 def grid_from(data):
     data = np.asarray(data, dtype=np.float64)
-    b, l, d = data.shape
-    side = int(round(np.sqrt(l)))
-    return TokenGrid(b, side, side, d, Tensor(data))
+    side = int(round(np.sqrt(data.shape[1])))
+    return TokenGrid(side, side, Tensor(data))
+
+
+def test_token_grid_reads_batch_and_dim_from_its_data():
+    g = TokenGrid(2, 3, Tensor(np.zeros((4, 6, 5))))
+    assert (g.batch, g.h_tokens, g.w_tokens, g.dim) == (4, 2, 3, 5)
+
+
+@pytest.mark.parametrize("shape", [(6, 5), (4, 6), (4, 5, 5), (4, 7, 5), (1, 4, 6, 5)])
+def test_token_grid_refuses_data_not_batch_by_hw_by_dim(shape):
+    with pytest.raises(TensorError, match="TokenGrid data shape"):
+        TokenGrid(2, 3, Tensor(np.zeros(shape)))
 
 
 def random_grid(rng, side, dim, batch=1):

@@ -188,21 +188,23 @@ def test_evaluate_perfect_prediction_scores_100():
     model = SwinUnet(unet_spec(), seed=0)
     imgs = rand_images(2, seed=3)
     labels = model.predict(imgs)
-    report, per_image = evaluate_segmentation(model, imgs, labels)
+    report = evaluate_segmentation(model, imgs, labels)
     assert report["dsc_pct"] == pytest.approx(100.0)
     assert report["mpa_pct"] == pytest.approx(100.0)
     assert report["miou_pct"] == pytest.approx(100.0)
-    assert len(per_image) == 2
 
 
 class PerImagePredict:
-    """The same model, predicting one image per forward pass."""
+    """The same model, predicting one image per forward pass; keeps what it
+    predicts in `preds`."""
 
     def __init__(self, model):
         self.model, self.spec = model, model.spec
+        self.preds = []
 
     def predict(self, images):
-        return np.stack([self.model.predict(img[None])[0] for img in images])
+        self.preds.append(np.stack([self.model.predict(img[None])[0] for img in images]))
+        return self.preds[-1]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -211,13 +213,14 @@ def test_batched_evaluation_matches_per_image_loop(dtype, monkeypatch):
     model = SwinUnet(unet_spec(), seed=2, dtype=dtype)
     imgs = rand_images(6, seed=5)
     labels = np.random.default_rng(6).integers(0, 3, size=(6, 32, 32))
-    sizes, predict = [], model.predict
-    monkeypatch.setattr(model, "predict", lambda x: sizes.append(len(x)) or predict(x))
-    report, per_image = evaluate_segmentation(model, imgs, labels)
-    assert sizes == [4, 2]
-    ref_report, ref_per_image = evaluate_segmentation(PerImagePredict(model), imgs, labels)
+    ref = PerImagePredict(model)
+    ref_report = evaluate_segmentation(ref, imgs, labels)
+    preds, predict = [], model.predict
+    monkeypatch.setattr(model, "predict", lambda x: preds.append(predict(x)) or preds[-1])
+    report = evaluate_segmentation(model, imgs, labels)
+    assert [len(p) for p in preds] == [4, 2]
+    np.testing.assert_array_equal(np.concatenate(preds), np.concatenate(ref.preds))
     assert report == ref_report
-    assert per_image == ref_per_image
 
 
 def test_evaluate_rejects_empty_set():

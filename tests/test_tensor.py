@@ -336,7 +336,7 @@ def test_linear_is_one_matmul_node():
     rng = np.random.default_rng(12)
     x, w, b = (Tensor(rng.standard_normal(s), requires_grad=True) for s in ((2, 3, 4), (4, 5), (5,)))
     with Tape() as tape:
-        T.linear(x, w, b)
+        T.matmul(x, w, b)
     assert [(n.op, len(n.inputs)) for n in tape.nodes] == [("matmul", 3)]
 
 
@@ -346,7 +346,7 @@ def test_linear_bit_identical_to_matmul_then_add(dtype):
     data = [rng.standard_normal(s).astype(dtype) for s in ((2, 3, 4), (4, 5), (5,))]
     weights = Tensor(rng.standard_normal((2, 3, 5)).astype(dtype))
     runs = []
-    for f in (T.linear, lambda x, w, b: T.add(T.matmul(x, w), b)):
+    for f in (T.matmul, lambda x, w, b: T.add(T.matmul(x, w), b)):
         x, w, b = (Tensor(d.copy(), requires_grad=True) for d in data)
         with Tape() as tape:
             y = f(x, w, b)
@@ -369,7 +369,7 @@ def test_linear_grad_check(wrt):
 
     def f(t):
         x, w, b = (t if k == wrt else Tensor(v) for k, v in args.items())
-        return T.sum_(T.square(T.linear(x, w, b)))
+        return T.sum_(T.square(T.matmul(x, w, b)))
 
     assert T.grad_check(f, Tensor(args[wrt].copy())) < 1e-6
 
@@ -609,7 +609,7 @@ def attention_chain(q, k, v, mask, scale, bias):
 
 
 def mlp_chain(x, w1, b1, w2, b2):
-    return T.linear(T.gelu(T.linear(x, w1, b1)), w2, b2)
+    return T.matmul(T.gelu(T.matmul(x, w1, b1)), w2, b2)
 
 
 def run_chain(f, arrays, g):

@@ -12,7 +12,7 @@ from swinmae.tensor import ParamStore, Tensor, TensorError
 from swinmae.masking import build_mask_plan, split_rng
 from swinmae.model import SwinMae, desk_spec
 from swinmae.training import (
-    BETA1, BETA2, EPS, Adam, CheckpointError, ScheduleConfig, cosine_lr, load_checkpoint,
+    BETA1, BETA2, EPS, Adam, CheckpointError, cosine_lr, load_checkpoint,
     load_params_strict, run_pretraining, save_checkpoint, train_epochs, train_step,
     write_csv,
 )
@@ -23,9 +23,9 @@ from swinmae.training import (
 
 def test_cosine_endpoints_and_midpoint():
     lr_max = 3e-3
-    assert cosine_lr(ScheduleConfig(lr_max, 10, 0)) == pytest.approx(lr_max)
-    assert cosine_lr(ScheduleConfig(lr_max, 10, 10)) == pytest.approx(0.0, abs=1e-18)
-    assert cosine_lr(ScheduleConfig(lr_max, 10, 5)) == pytest.approx(lr_max / 2)
+    assert cosine_lr(lr_max, 0, 10) == pytest.approx(lr_max)
+    assert cosine_lr(lr_max, 10, 10) == pytest.approx(0.0, abs=1e-18)
+    assert cosine_lr(lr_max, 5, 10) == pytest.approx(lr_max / 2)
 
 
 def test_cosine_matches_direct_formula():
@@ -35,21 +35,27 @@ def test_cosine_matches_direct_formula():
         i = int(rng.integers(0, m + 1))
         lr_max = float(rng.uniform(1e-6, 1.0))
         want = lr_max * (1.0 + math.cos(math.pi * i / m)) / 2.0
-        assert cosine_lr(ScheduleConfig(lr_max, m, i)) == pytest.approx(want, rel=1e-15)
+        assert cosine_lr(lr_max, i, m) == pytest.approx(want, rel=1e-15)
 
 
 def test_cosine_monotone_decreasing():
-    vals = [cosine_lr(ScheduleConfig(1.0, 40, i)) for i in range(41)]
+    vals = [cosine_lr(1.0, i, 40) for i in range(41)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 def test_schedule_rejects_bad_args():
-    with pytest.raises(TensorError):
-        ScheduleConfig(1.0, 0, 0)
-    with pytest.raises(TensorError):
-        ScheduleConfig(1.0, 10, 11)
-    with pytest.raises(TensorError):
-        ScheduleConfig(0.0, 10, 0)
+    """The epoch loop refuses a schedule with no epochs or no positive peak
+    lr before it runs a batch."""
+
+    def batches(epoch):
+        raise AssertionError("no batch may run")
+
+    model = SwinMae(desk_spec(), seed=0)
+    for epochs, lr_max, match in [
+        (0, 1.0, "epochs"), (-1, 1.0, "epochs"), (10, 0.0, "lr_max"), (10, -1e-3, "lr_max"),
+    ]:
+        with pytest.raises(TensorError, match=match):
+            next(train_epochs(model, epochs, lr_max, 1, batches))
 
 
 # -------------------------------------------------------------------- adam
@@ -360,6 +366,37 @@ _ARRAYS = st.sampled_from([np.float32, np.float64]).flatmap(
 )
 
 
+def _encodable(text):
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _assert_refused_untouched(path, ps, meta):
+    """save_checkpoint raises CheckpointError and leaves the directory as it
+    was: the previous checkpoint intact and no temporary file."""
+    before = {p.name: p.read_bytes() for p in path.parent.iterdir()}
+    with pytest.raises(CheckpointError, match="cannot be encoded as UTF-8"):
+        save_checkpoint(path, ps, meta)
+    assert {p.name: p.read_bytes() for p in path.parent.iterdir()} == before
+
+
+def test_checkpoint_unencodable_text_rejected(tmp_path):
+    """A lone surrogate in a metadata value or a tensor name cannot be
+    written as UTF-8."""
+    path = tmp_path / "ck.bin"
+    _two_tensor_checkpoint(path)
+    ps = ParamStore()
+    ps.add("w", Tensor(np.zeros(2)))
+    _assert_refused_untouched(path, ps, {"": "\ud800"})
+    bad = ParamStore()
+    bad.add("w\udcff", Tensor(np.zeros(2)))
+    _assert_refused_untouched(path, bad, {"epoch": 1})
+    _assert_refused_untouched(tmp_path / "new.bin", bad, None)
+
+
 def test_checkpoint_roundtrip_property(tmp_path):
     path = tmp_path / "ck.bin"
 
@@ -372,6 +409,9 @@ def test_checkpoint_roundtrip_property(tmp_path):
         ps = ParamStore()
         for name, arr in arrays.items():
             ps.add(name, Tensor(arr))
+        if not all(map(_encodable, [*meta, *meta.values(), *arrays])):
+            _assert_refused_untouched(path, ps, meta)
+            return
         save_checkpoint(path, ps, meta)
         got_meta, got = load_checkpoint(path)
         assert got_meta == meta
@@ -548,7 +588,7 @@ def test_train_epochs_yields_each_epoch_with_its_cosine_lr():
     out = list(train_epochs(model, 3, 1e-3, 2, batches))
     assert seen == [0, 1, 2]
     assert [(e, lr) for e, lr, _ in out] == [
-        (i, cosine_lr(ScheduleConfig(1e-3, 3, i))) for i in range(3)
+        (i, cosine_lr(1e-3, i, 3)) for i in range(3)
     ]
     assert all(len(losses) == 2 and np.isfinite(losses).all() for _, _, losses in out)
 
