@@ -1,6 +1,7 @@
-"""Segmentation metrics: per-class confusion counts, Dice / pixel accuracy /
-IoU (one-vs-rest, macro-averaged over foreground classes), and the exact
-symmetric Hausdorff distance between the classes of two label maps.
+"""Segmentation metrics: per-class confusion counts and Dice / pixel accuracy /
+IoU (one-vs-rest, macro-averaged over foreground classes) for a whole stack
+of label maps at once, and the exact symmetric Hausdorff distance between
+the classes of two label maps.
 """
 
 from __future__ import annotations
@@ -14,18 +15,22 @@ from .tensor import TensorError
 
 @dataclass
 class ConfusionCounts:
-    tp: int
-    fp: int
-    fn: int
-    tn: int
+    """Pixel tallies, each an int array [N images, num_classes]: entry [i, c]
+    treats class c of image i as positive."""
+
+    tp: np.ndarray
+    fp: np.ndarray
+    fn: np.ndarray
+    tn: np.ndarray
 
     @property
     def total(self):
         return self.tp + self.fp + self.fn + self.tn
 
 
-def confusion_counts(pred, gt, cls, num_classes):
-    """Pixel tallies treating class `cls` as positive."""
+def confusion_counts(pred, gt, num_classes):
+    """Per-image, per-class tallies of a stack of [N, H, W] label maps, from
+    one bincount over (image, true class, predicted class) triples."""
     pred = np.asarray(pred)
     gt = np.asarray(gt)
     if pred.shape != gt.shape:
@@ -33,43 +38,38 @@ def confusion_counts(pred, gt, cls, num_classes):
     for arr, nm in ((pred, "pred"), (gt, "gt")):
         if arr.min() < 0 or arr.max() >= num_classes:
             raise TensorError(f"{nm}: label out of range [0, {num_classes})")
-    p = pred == cls
-    g = gt == cls
-    return ConfusionCounts(
-        tp=int(np.sum(p & g)),
-        fp=int(np.sum(p & ~g)),
-        fn=int(np.sum(~p & g)),
-        tn=int(np.sum(~p & ~g)),
-    )
+    n, c = pred.shape[0], num_classes
+    image = np.arange(n).reshape((n,) + (1,) * (pred.ndim - 1))
+    cells = ((image * c + gt) * c + pred).reshape(-1)
+    conf = np.bincount(cells, minlength=n * c * c).reshape(n, c, c)
+    tp = np.diagonal(conf, axis1=1, axis2=2).copy()
+    fn = conf.sum(axis=2) - tp
+    fp = conf.sum(axis=1) - tp
+    tn = pred[0].size - tp - fn - fp
+    return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
 
 
-def _safe(num, den, absent):
-    if den == 0:
-        return 1.0 if absent else 0.0
-    return num / den
+def _ratio(num, den):
+    """num / den elementwise in f64; 1.0 where den == 0, which for these
+    tallies means the class is absent from both maps."""
+    return np.divide(num, den, out=np.ones(den.shape), where=den != 0)
 
 
-def area_metrics(counts_per_class):
-    """{'dsc','mpa','miou'} in percent, macro-averaged over foreground classes.
+def area_metrics(counts):
+    """{'dsc','mpa','miou'}: per-image arrays [N] in percent, each image's
+    mean over its foreground classes.
 
-    `counts_per_class` maps class id -> ConfusionCounts; class 0 (background)
-    is excluded from the average. A class absent in both prediction and
-    ground truth scores 1.0 by convention.
+    `counts` is a ConfusionCounts over [N, num_classes]; class 0
+    (background) is excluded from the average. A class absent in both
+    prediction and ground truth scores 1.0 by convention.
     """
-    fg = [c for c in sorted(counts_per_class) if c != 0]
-    if not fg:
+    tp, fp, fn, tn = (a[:, 1:] for a in (counts.tp, counts.fp, counts.fn, counts.tn))
+    if tp.shape[1] == 0:
         raise TensorError("no foreground classes")
-    dsc, mpa, miou = [], [], []
-    for c in fg:
-        cc = counts_per_class[c]
-        absent = cc.tp == 0 and cc.fp == 0 and cc.fn == 0
-        dsc.append(_safe(2 * cc.tp, cc.fp + 2 * cc.tp + cc.fn, absent))
-        mpa.append((cc.tp + cc.tn) / cc.total)
-        miou.append(_safe(cc.tp, cc.fn + cc.tp + cc.fp, absent))
     return {
-        "dsc": 100.0 * float(np.mean(dsc)),
-        "mpa": 100.0 * float(np.mean(mpa)),
-        "miou": 100.0 * float(np.mean(miou)),
+        "dsc": 100.0 * np.mean(_ratio(2 * tp, fp + 2 * tp + fn), axis=1),
+        "mpa": 100.0 * np.mean((tp + tn) / (tp + fp + fn + tn), axis=1),
+        "miou": 100.0 * np.mean(_ratio(tp, fn + tp + fp), axis=1),
     }
 
 

@@ -258,7 +258,7 @@ def swin_block_forward(g, ps, prefix, heads, window, shifted):
         xg, mask = P.cyclic_shift(xg, shift, side)
     xw = P.window_partition(xg, side)
     xw = attention(xw, ps, prefix + ".attn", heads, rel_index, mask)
-    xg = P.window_reverse(xw, side, g.batch, g.h_tokens, g.w_tokens)
+    xg = P.window_reverse(xw, side, g.h_tokens, g.w_tokens)
     if shifted:
         xg = P.cyclic_unshift(xg, shift)
     x = T.add(shortcut, xg.data)

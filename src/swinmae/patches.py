@@ -131,9 +131,11 @@ def window_partition(g, side):
     return T.reshape(x, (b * (h // side) * (w // side), side * side, d))
 
 
-def window_reverse(windows, side, batch, h_tokens, w_tokens):
-    """Inverse of window_partition."""
+def window_reverse(windows, side, h_tokens, w_tokens):
+    """Inverse of window_partition; the batch is the window count over the
+    windows per grid."""
     d = windows.shape[-1]
+    batch = windows.shape[0] // ((h_tokens // side) * (w_tokens // side))
     x = T.reshape(
         windows, (batch, h_tokens // side, w_tokens // side, side, side, d)
     )

@@ -20,10 +20,11 @@ from .model import (
 from .training import CheckpointError, save_checkpoint, train_epochs, write_csv
 from . import metrics as M
 
-# Images per forward pass in evaluate_segmentation. A 224² full-scale
-# Swin-Unet needs about 43 MB per image, so this bounds evaluation at about
-# 0.7 GB above the model, whatever the size of the test split.
-EVAL_BATCH = 16
+# Pixels per forward pass in evaluate_segmentation: 16 images at 224², any
+# split of up to 784 images at 32². A 224² full-scale Swin-Unet needs about
+# 43 MB per image, so this bounds evaluation at about 0.7 GB above the
+# model, whatever the size of the test split.
+EVAL_PIXELS = 16 * 224 * 224
 
 # The report keys of evaluate_segmentation, in CSV and table order.
 METRICS = ("dsc_pct", "mpa_pct", "miou_pct", "hd")
@@ -194,33 +195,25 @@ def augment_batch(images, labels, rng):
 
 def evaluate_segmentation(model, images, labels, warn=None):
     """Per-image metrics averaged over the set; returns the report dict.
-    Predictions are made EVAL_BATCH images per forward pass."""
-    if images.shape[0] == 0:
+    Each forward pass predicts as many images as fit in EVAL_PIXELS, and the
+    area metrics of the whole set come from one tally."""
+    n = images.shape[0]
+    if n == 0:
         raise TensorError("empty evaluation set")
     ncls = model.spec.num_classes
-    dsc, mpa, miou, hds = [], [], [], []
+    per_pass = max(1, EVAL_PIXELS // (images.shape[-2] * images.shape[-1]))
     preds = np.concatenate([
-        model.predict(images[i:i + EVAL_BATCH])
-        for i in range(0, images.shape[0], EVAL_BATCH)
+        model.predict(images[i:i + per_pass]) for i in range(0, n, per_pass)
     ])
-    for pred, gt in zip(preds, labels):
-        counts = {
-            c: M.confusion_counts(pred, gt, c, ncls) for c in range(ncls)
-        }
-        area = M.area_metrics(counts)
-        dsc.append(area["dsc"])
-        mpa.append(area["mpa"])
-        miou.append(area["miou"])
-        hd = M.hausdorff_per_class(pred, gt, ncls, warn=warn)
-        if hd is not None:
-            hds.append(hd)
-    report = {
-        "dsc_pct": float(np.mean(dsc)),
-        "mpa_pct": float(np.mean(mpa)),
-        "miou_pct": float(np.mean(miou)),
+    area = M.area_metrics(M.confusion_counts(preds, labels, ncls))
+    hds = [M.hausdorff_per_class(pred, gt, ncls, warn=warn) for pred, gt in zip(preds, labels)]
+    hds = [hd for hd in hds if hd is not None]
+    return {
+        "dsc_pct": float(np.mean(area["dsc"])),
+        "mpa_pct": float(np.mean(area["mpa"])),
+        "miou_pct": float(np.mean(area["miou"])),
         "hd": float(np.mean(hds)) if hds else float("nan"),
     }
-    return report
 
 
 def run_finetune(

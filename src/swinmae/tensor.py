@@ -54,7 +54,9 @@ class Tensor:
 
     def accumulate_grad(self, g):
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+            # no backward writes into a gradient it was handed, so `g` is
+            # kept as it is unless it must be cast or made contiguous
+            self.grad = np.ascontiguousarray(g, dtype=self.data.dtype)
         else:
             self.grad = self.grad + g
 
@@ -353,31 +355,40 @@ def matmul(a, b, bias=None):
 
 
 def _softmax(x, mask, scale, bias):
-    """softmax_lastdim's forward on arrays; `bias` is an array or None."""
-    s = x
-    if scale is not None:
-        s = s * scale
+    """softmax_lastdim's forward on arrays; `bias` is an array or None. Every
+    step writes one fresh array, never `x`; exp(-inf) is exactly 0."""
+    s = np.array(x, order="C") if scale is None else np.multiply(x, scale, order="C")
     if bias is not None:
-        s = s + bias
+        s += bias
     if mask is not None:
         nb, heads, t, _ = x.shape
         nw = mask.shape[0]
-        s = (s.reshape(nb // nw, nw, heads, t, t) + mask[None, :, None]).reshape(x.shape)
+        windows = s.reshape(nb // nw, nw, heads, t, t)  # a view: s is C-ordered
+        windows += mask[None, :, None]
     m = np.max(s, axis=-1, keepdims=True)
     if np.isneginf(m).any():
         raise TensorError("softmax: row with all entries masked (-inf)")
-    z = s - m
-    e = np.where(np.isneginf(z), 0.0, np.exp(z))
-    return e / e.sum(axis=-1, keepdims=True)
+    s -= m
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
 
 
 def _softmax_grads(out, g, scale, bias):
     """Gradients of the scores and of the bias Tensor (None without one) for
-    the gradient g of the softmax output `out`."""
-    dot = (g * out).sum(axis=-1, keepdims=True)
-    gs = out * (g - dot)
-    gx = gs if scale is None else gs * scale
-    return gx, None if bias is None else _grad(bias, lambda: gs)
+    the gradient g of the softmax output `out`, in one scratch array."""
+    gs = g * out
+    dot = gs.sum(axis=-1, keepdims=True)
+    np.subtract(g, dot, out=gs)
+    gs *= out
+    gb = None if bias is None else _grad(bias, lambda: gs)
+    if scale is None:
+        return gs, gb
+    # with one window the bias gradient can be a view of gs
+    if gb is not None and np.may_share_memory(gb, gs):
+        return gs * scale, gb
+    gs *= scale
+    return gs, gb
 
 
 def softmax_lastdim(x, mask=None, scale=None, bias=None):

@@ -22,30 +22,50 @@ def loop_confusion(pred, gt, cls):
     return tp, fp, fn, tn
 
 
+def image_counts(*per_class):
+    """One image's ConfusionCounts, [1, num_classes], from one
+    ConfusionCounts of ints per class."""
+    return ConfusionCounts(*(
+        np.array([[getattr(cc, f) for cc in per_class]]) for f in ("tp", "fp", "fn", "tn")
+    ))
+
+
+def area_of(*per_class):
+    """area_metrics of one image given per-class tallies, as floats."""
+    return {k: float(v[0]) for k, v in area_metrics(image_counts(*per_class)).items()}
+
+
 def test_confusion_counts_match_loop_oracle():
     rng = np.random.default_rng(0)
     for _ in range(20):
         ncls = int(rng.integers(2, 5))
-        pred = rng.integers(0, ncls, size=(9, 7))
-        gt = rng.integers(0, ncls, size=(9, 7))
-        for cls in range(ncls):
-            cc = confusion_counts(pred, gt, cls, ncls)
-            assert (cc.tp, cc.fp, cc.fn, cc.tn) == loop_confusion(pred, gt, cls)
-            assert cc.total == pred.size
+        n = int(rng.integers(1, 5))
+        pred = rng.integers(0, ncls, size=(n, 9, 7))
+        gt = rng.integers(0, ncls, size=(n, 9, 7))
+        cc = confusion_counts(pred, gt, ncls)
+        assert cc.tp.shape == (n, ncls)
+        for i in range(n):
+            for cls in range(ncls):
+                got = (cc.tp[i, cls], cc.fp[i, cls], cc.fn[i, cls], cc.tn[i, cls])
+                assert got == loop_confusion(pred[i], gt[i], cls)
+                assert cc.total[i, cls] == pred[i].size
 
 
 def test_confusion_counts_rejects_bad_input():
     with pytest.raises(TensorError, match="shape"):
-        confusion_counts(np.zeros((2, 2), int), np.zeros((3, 3), int), 0, 2)
+        confusion_counts(np.zeros((1, 2, 2), int), np.zeros((1, 3, 3), int), 2)
     with pytest.raises(TensorError, match="range"):
-        confusion_counts(np.array([[5]]), np.array([[0]]), 0, 2)
+        confusion_counts(np.array([[[5]]]), np.array([[[0]]]), 2)
+    # a label out of range in one image is refused, not tallied in the next
+    with pytest.raises(TensorError, match="gt: label out of range"):
+        confusion_counts(np.zeros((2, 1, 1), int), np.array([[[2]], [[0]]]), 2)
 
 
 def test_area_metrics_hand_example():
     # pred/gt of 16 pixels, single foreground class:
     #   tp=4, fp=2, fn=1, tn=9
     cc = ConfusionCounts(tp=4, fp=2, fn=1, tn=9)
-    got = area_metrics({0: ConfusionCounts(9, 1, 2, 4), 1: cc})
+    got = area_of(ConfusionCounts(9, 1, 2, 4), cc)
     assert got["dsc"] == pytest.approx(100.0 * 8 / 11)
     assert got["mpa"] == pytest.approx(100.0 * 13 / 16)
     assert got["miou"] == pytest.approx(100.0 * 4 / 7)
@@ -59,7 +79,7 @@ def test_dice_iou_identity():
         if tp + fp + fn == 0:
             continue
         cc = ConfusionCounts(tp, fp, fn, tn=10)
-        m = area_metrics({0: ConfusionCounts(1, 0, 0, 1), 1: cc})
+        m = area_of(ConfusionCounts(1, 0, 0, 1), cc)
         iou = m["miou"] / 100.0
         assert m["dsc"] / 100.0 == pytest.approx(2 * iou / (1 + iou), abs=1e-12)
 
@@ -67,7 +87,7 @@ def test_dice_iou_identity():
 def test_area_metrics_macro_average_over_foreground():
     c1 = ConfusionCounts(tp=3, fp=1, fn=0, tn=12)
     c2 = ConfusionCounts(tp=2, fp=0, fn=2, tn=12)
-    got = area_metrics({0: ConfusionCounts(0, 0, 0, 16), 1: c1, 2: c2})
+    got = area_of(ConfusionCounts(0, 0, 0, 16), c1, c2)
     dsc1 = 6 / 7
     dsc2 = 4 / 6
     assert got["dsc"] == pytest.approx(100.0 * (dsc1 + dsc2) / 2)
@@ -78,7 +98,7 @@ def test_area_metrics_macro_average_over_foreground():
 
 def test_area_metrics_absent_class_scores_one():
     absent = ConfusionCounts(tp=0, fp=0, fn=0, tn=16)
-    got = area_metrics({0: ConfusionCounts(16, 0, 0, 0), 1: absent})
+    got = area_of(ConfusionCounts(16, 0, 0, 0), absent)
     assert got["dsc"] == pytest.approx(100.0)
     assert got["miou"] == pytest.approx(100.0)
     assert got["mpa"] == pytest.approx(100.0)
@@ -86,15 +106,15 @@ def test_area_metrics_absent_class_scores_one():
 
 def test_area_metrics_perfect_prediction():
     rng = np.random.default_rng(2)
-    gt = rng.integers(0, 3, size=(12, 12))
-    counts = {c: confusion_counts(gt, gt, c, 3) for c in range(3)}
-    got = area_metrics(counts)
-    assert got["dsc"] == got["mpa"] == got["miou"] == pytest.approx(100.0)
+    gt = rng.integers(0, 3, size=(2, 12, 12))
+    got = area_metrics(confusion_counts(gt, gt, 3))
+    for k in ("dsc", "mpa", "miou"):
+        assert got[k].tolist() == pytest.approx([100.0, 100.0])
 
 
 def test_area_metrics_requires_foreground():
     with pytest.raises(TensorError, match="foreground"):
-        area_metrics({0: ConfusionCounts(1, 0, 0, 1)})
+        area_of(ConfusionCounts(1, 0, 0, 1))
 
 
 # --------------------------------------------------------------- hausdorff

@@ -459,6 +459,56 @@ def test_backward_frees_the_tape_as_it_walks_it():
         assert peak <= tape_bytes + grad_bytes, (depths, peak / mib, tape_bytes / mib)
 
 
+def read_only_backward(fn):
+    """`fn` handed a read-only view of its gradient (array scalars are
+    immutable already; they become 0-d arrays)."""
+    def bw(g):
+        g = np.asarray(g).view()
+        g.flags.writeable = False
+        return fn(g)
+    return bw
+
+
+def desk_mae_loss(**spec_kw):
+    def loss():
+        spec = desk_spec(**spec_kw)
+        plan = build_mask_plan(
+            spec.mask_grid_d, spec.mask_window_r, spec.mask_ratio, split_rng(0, 1)
+        )
+        model = SwinMae(spec, seed=0)
+        return model, model.loss(Tensor(split_rng(0, 2).random((2, 3, 32, 32))), plan)
+    return loss
+
+
+def unet_loss():
+    unet = SwinUnet(SwinUnetSpec(image=PatchSpec(32, 32, 3, patch_side=4),
+                                 use_abs_pos_embed=True), seed=0)
+    labels = split_rng(0, 3).integers(0, 3, size=(2, 32, 32))
+    return unet, unet.loss(Tensor(split_rng(0, 2).random((2, 3, 32, 32))), labels)
+
+
+@pytest.mark.parametrize("loss", [
+    desk_mae_loss(stage_depths=(2, 2, 2, 2)),
+    desk_mae_loss(encoder_variant="I", decoder_variant="VIT", use_abs_pos_embed=True),
+    unet_loss,
+], ids=["desk-shifted", "variant-i-vit-pe", "swin-unet-pe"])
+def test_no_backward_writes_into_the_gradient_it_is_handed(loss):
+    """Tensor.accumulate_grad keeps a leaf's gradient without a copy, which
+    is sound only while no backward closure writes into the gradient it
+    receives: with every closure handed a read-only one, backward runs and
+    gives the same gradients."""
+    grads = []
+    for read_only in (False, True):
+        with Tape() as tape:
+            model, out = loss()
+        if read_only:
+            for node in tape.nodes:
+                node.backward_fn = read_only_backward(node.backward_fn)
+        T.backward(out, tape)
+        grads.append({n: p.grad.tobytes() for n, p in model.params.items() if p.grad is not None})
+    assert grads[0] and grads[0] == grads[1]
+
+
 def test_reconstruct_casts_input_to_model_dtype():
     spec = desk_spec()
     model = SwinMae(spec, seed=0)

@@ -155,7 +155,7 @@ def test_window_roundtrip_random():
         dim = int(rng.integers(1, 5))
         g = random_grid(rng, side, dim, batch=int(rng.integers(1, 3)))
         win = P.window_partition(g, w)
-        back = P.window_reverse(win, w, g.batch, side, side)
+        back = P.window_reverse(win, w, side, side)
         assert np.array_equal(back.data.data, g.data.data)
 
 

@@ -6,6 +6,7 @@ from swinmae import segmentation, training
 from swinmae.tensor import Tensor, TensorError
 from swinmae.patches import PatchSpec
 from swinmae.model import SwinMae, desk_spec
+from swinmae.metrics import hausdorff_per_class
 from swinmae.training import Adam, CheckpointError, write_csv
 from swinmae.segmentation import (
     SwinUnet, SwinUnetSpec, augment_batch, build_swin_unet_from_checkpoint,
@@ -209,18 +210,116 @@ class PerImagePredict:
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_batched_evaluation_matches_per_image_loop(dtype, monkeypatch):
-    monkeypatch.setattr(segmentation, "EVAL_BATCH", 4)  # slices of 4 and 2
     model = SwinUnet(unet_spec(), seed=2, dtype=dtype)
     imgs = rand_images(6, seed=5)
     labels = np.random.default_rng(6).integers(0, 3, size=(6, 32, 32))
     ref = PerImagePredict(model)
     ref_report = evaluate_segmentation(ref, imgs, labels)
-    preds, predict = [], model.predict
-    monkeypatch.setattr(model, "predict", lambda x: preds.append(predict(x)) or preds[-1])
-    report = evaluate_segmentation(model, imgs, labels)
-    assert [len(p) for p in preds] == [4, 2]
-    np.testing.assert_array_equal(np.concatenate(preds), np.concatenate(ref.preds))
-    assert report == ref_report
+    predict = model.predict
+    # passes of 4 and 2 images, then the whole split in one pass
+    for pixels, passes in ((4 * 32 * 32, [4, 2]), (segmentation.EVAL_PIXELS, [6])):
+        monkeypatch.setattr(segmentation, "EVAL_PIXELS", pixels)
+        preds = []
+        monkeypatch.setattr(model, "predict", lambda x: preds.append(predict(x)) or preds[-1])
+        report = evaluate_segmentation(model, imgs, labels)
+        assert [len(p) for p in preds] == passes
+        np.testing.assert_array_equal(np.concatenate(preds), np.concatenate(ref.preds))
+        assert report == ref_report
+
+
+@pytest.mark.parametrize("n, side, pixels", [
+    (1, 32, segmentation.EVAL_PIXELS), (20, 32, segmentation.EVAL_PIXELS),
+    (785, 32, segmentation.EVAL_PIXELS), (17, 224, segmentation.EVAL_PIXELS),
+    (7, 16, 3 * 16 * 16), (5, 16, 16 * 16 - 1),
+])
+def test_evaluation_forward_passes_follow_the_pixel_budget(n, side, pixels, monkeypatch):
+    """n H×W images take ceil(n / (EVAL_PIXELS // (H·W))) forward passes,
+    and at least one image per pass."""
+    monkeypatch.setattr(segmentation, "EVAL_PIXELS", pixels)
+    calls = []
+
+    class Stub:
+        spec = unet_spec()
+
+        def predict(self, images):
+            calls.append(len(images))
+            return np.zeros((len(images), side, side), dtype=np.int64)
+
+    images = np.zeros((n, 1, side, side), dtype=np.float32)
+    evaluate_segmentation(Stub(), images, np.zeros((n, side, side), dtype=np.int64))
+    per_pass = max(1, pixels // (side * side))
+    assert len(calls) == -(-n // per_pass)
+    assert sum(calls) == n and max(calls) <= per_pass
+
+
+def reference_report(preds, labels, ncls, warn=None):
+    """The per-image evaluation loop: Python-int tallies per image and class,
+    Python division, and np.mean over classes, then over images."""
+    dsc, mpa, miou, hds = [], [], [], []
+    for pred, gt in zip(preds, labels):
+        per_class = []
+        for c in range(1, ncls):
+            p, g = pred == c, gt == c
+            tp, fp = int(np.sum(p & g)), int(np.sum(p & ~g))
+            fn, tn = int(np.sum(~p & g)), int(np.sum(~p & ~g))
+            absent = tp == 0 and fp == 0 and fn == 0
+            per_class.append((
+                1.0 if absent else 2 * tp / (fp + 2 * tp + fn),
+                (tp + tn) / (tp + fp + fn + tn),
+                1.0 if absent else tp / (fn + tp + fp),
+            ))
+        d, a, i = zip(*per_class)
+        dsc.append(100.0 * float(np.mean(d)))
+        mpa.append(100.0 * float(np.mean(a)))
+        miou.append(100.0 * float(np.mean(i)))
+        hd = hausdorff_per_class(pred, gt, ncls, warn=warn)
+        if hd is not None:
+            hds.append(hd)
+    return {
+        "dsc_pct": float(np.mean(dsc)),
+        "mpa_pct": float(np.mean(mpa)),
+        "miou_pct": float(np.mean(miou)),
+        "hd": float(np.mean(hds)) if hds else float("nan"),
+    }
+
+
+def same_report(a, b):
+    """== key by key, with a NaN hd equal to a NaN hd."""
+    return a.keys() == b.keys() and all(
+        a[k] == b[k] or (np.isnan(a[k]) and np.isnan(b[k])) for k in a
+    )
+
+
+@pytest.mark.parametrize("ncls", [2, 3, 5])
+def test_evaluation_report_equals_the_per_image_reference_loop(ncls):
+    """Bit-equal reports and the same warnings, in order, for predictions
+    with absent classes, one-sided classes and no comparable class."""
+    rng = np.random.default_rng(ncls)
+    labels = rng.integers(0, ncls, size=(9, 12, 12))
+    preds = labels.copy()
+    noise = rng.random(preds.shape) < 0.3
+    preds[noise] = rng.integers(0, ncls, int(noise.sum()))
+    preds[1] = 0                        # every foreground class one-sided
+    labels[2] = 0
+    preds[2] = 0                        # every class absent from both maps
+    preds[3][preds[3] == ncls - 1] = 0  # the last class only in gt
+    cases = {"mixed": (preds, labels), "no hd": (preds[1:3], labels[1:3])}
+
+    class Fixed:
+        spec = unet_spec(num_classes=ncls)
+
+        def predict(self, images):
+            return self.preds[: len(images)]
+
+    for name, (p, g) in cases.items():
+        model = Fixed()
+        model.preds = p
+        got_warn, want_warn = [], []
+        got = evaluate_segmentation(model, np.zeros((len(p), 1, 12, 12)), g, warn=got_warn.append)
+        want = reference_report(p, g, ncls, warn=want_warn.append)
+        assert same_report(got, want), (name, got, want)
+        assert got_warn == want_warn, name
+    assert np.isnan(want["hd"])
 
 
 def test_evaluate_rejects_empty_set():

@@ -684,18 +684,21 @@ def test_mlp_bit_identical_to_unfused_chain(x_shape, hidden, dtype):
 
 @pytest.mark.parametrize("wrt", ["q", "k", "v", "bias"])
 def test_window_attention_grad_check(wrt):
+    """Four shifted windows, and one window without a mask, where the bias
+    gradient has the scores' shape (the bias gradient must not alias the
+    scaled score gradient)."""
     rng = np.random.default_rng(25)
-    args = {n: rng.standard_normal((4, 2, 4, 3)) for n in ("q", "k", "v")}
-    args["bias"] = rng.standard_normal((1, 2, 4, 4))
-    mask = shift_attention_mask(4, 4, 2, 1)
-    weights = Tensor(rng.standard_normal((4, 4, 6)))
+    for nb, mask in ((4, shift_attention_mask(4, 4, 2, 1)), (1, None)):
+        args = {n: rng.standard_normal((nb, 2, 4, 3)) for n in ("q", "k", "v")}
+        args["bias"] = rng.standard_normal((1, 2, 4, 4))
+        weights = Tensor(rng.standard_normal((nb, 4, 6)))
 
-    def f(t):
-        q, k, v, bias = (t if n == wrt else Tensor(a) for n, a in args.items())
-        y = T.window_attention(q, k, v, mask, 3 ** -0.5, bias)
-        return T.sum_(T.square(T.mul(y, weights)))
+        def f(t):
+            q, k, v, bias = (t if n == wrt else Tensor(a) for n, a in args.items())
+            y = T.window_attention(q, k, v, mask, 3 ** -0.5, bias)
+            return T.sum_(T.square(T.mul(y, weights)))
 
-    assert T.grad_check(f, Tensor(args[wrt].copy())) < 1e-6
+        assert T.grad_check(f, Tensor(args[wrt].copy())) < 1e-6, nb
 
 
 @pytest.mark.parametrize("wrt", ["x", "w1", "b1", "w2", "b2"])
