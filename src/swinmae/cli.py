@@ -81,14 +81,13 @@ def cmd_gen_data(args):
 
 def cmd_pretrain(args):
     cfg = _config(args)
+    model = SwinMae(_model_spec(cfg), seed=cfg.seed)
     os.makedirs(cfg.out_dir, exist_ok=True)
     manifest = D.scan_dataset(cfg.data_dir)
     images = D.load_stack(manifest.unlabeled)
-    model = SwinMae(_model_spec(cfg), seed=cfg.seed)
     _log(cfg.resolved())
     run_pretraining(
         model, images, cfg.epochs, cfg.lr_max, cfg.batch_size, cfg.seed,
-        mask_mode=cfg.mask_mode,
         csv_path=os.path.join(cfg.out_dir, "pretrain_loss.csv"),
         checkpoint_path=os.path.join(cfg.out_dir, "pretrain.ckpt"),
         checkpoint_every=cfg.checkpoint_every, log=_log,
@@ -141,14 +140,11 @@ def cmd_eval(args):
 
 def cmd_reconstruct(args):
     cfg = _config(args)
-    _, tensors = load_checkpoint(args.checkpoint)
     model = SwinMae(_model_spec(cfg), seed=cfg.seed)
+    _, tensors = load_checkpoint(args.checkpoint)
     load_params_strict(model.params, tensors)
     image = D.load_image(args.image)
-    plan = build_mask_plan(
-        model.spec.mask_grid_d, model.spec.mask_window_r, model.spec.mask_ratio,
-        split_rng(cfg.seed, 99), mode=cfg.mask_mode,
-    )
+    plan = model.spec.mask_plan(split_rng(cfg.seed, 99))
     recon = model.reconstruct(Tensor(image[None]), plan)
     D.emit_triptych(image, recon.data[0], plan, args.out)
     _log(f"wrote {args.out}")
@@ -178,9 +174,7 @@ def cmd_grad_check(args):
     model = SwinMae(spec, seed=args.seed, dtype=np.float64)
     rng = split_rng(args.seed, 3)
     image = rng.random((1, 3, 16, 16))
-    plan = build_mask_plan(
-        spec.mask_grid_d, spec.mask_window_r, spec.mask_ratio, split_rng(args.seed, 4)
-    )
+    plan = spec.mask_plan(split_rng(args.seed, 4))
 
     def f(x):
         return model.loss(x, plan)
@@ -193,12 +187,11 @@ def cmd_grad_check(args):
 def run_grid(rows, seeds, pretrain_cfg, finetune_cfg):
     """Pretrain, transfer and fine-tune every row at every seed.
 
-    A row is (tag, `ModelSpec` overrides plus `mask_mode` or None for no
-    pretraining, Swin-Unet overrides); each phase reads its data, schedule
-    and spec defaults from its config, and pretraining its mask mode where
-    the row names none. Repeated runs are reused: pretrainings
-    are keyed by (spec repr, mask mode, seed), fine-tunes by that key, or
-    (None, seed), and the Swin-Unet spec repr. Returns, per row and seed,
+    A row is (tag, `ModelSpec` overrides or None for no pretraining,
+    Swin-Unet overrides); each phase reads its data, schedule and spec
+    defaults from its config. Repeated runs are reused: pretrainings are
+    keyed by (spec repr, seed), fine-tunes by that key, or (None, seed), and
+    the Swin-Unet spec repr. Returns, per row and seed,
     (pretraining loss history or None, fine-tune history, best epoch), or
     the TensorError, from building the spec or pretraining, that skips it.
     """
@@ -210,8 +203,6 @@ def run_grid(rows, seeds, pretrain_cfg, finetune_cfg):
     for _, pre_kw, unet_kw in rows:
         unet = _unet_spec(finetune_cfg, **unet_kw)
         if pre_kw is not None:
-            pre_kw = dict(pre_kw)
-            mode = pre_kw.pop("mask_mode", pretrain_cfg.mask_mode)
             try:
                 spec = _model_spec(pretrain_cfg, **pre_kw)
             except TensorError as exc:
@@ -219,13 +210,13 @@ def run_grid(rows, seeds, pretrain_cfg, finetune_cfg):
                 continue
         runs = []
         for seed in seeds:
-            key = (None, seed) if pre_kw is None else (repr(spec), mode, seed)
+            key = (None, seed) if pre_kw is None else (repr(spec), seed)
             if key not in pretrained:
                 try:
                     model = SwinMae(spec, seed=seed)
                     history = run_pretraining(
                         model, unlabeled, pretrain_cfg.epochs, pretrain_cfg.lr_max,
-                        pretrain_cfg.batch_size, seed, mask_mode=mode,
+                        pretrain_cfg.batch_size, seed,
                     )
                     pretrained[key] = history, {n: p.data.copy() for n, p in model.params.items()}
                 except TensorError as exc:
@@ -267,7 +258,7 @@ def cmd_ablate(args):
         ("decoder-vit", vit, {}),
         ("decoder-swin", swin, {}),
         ("decoder-swin+dw", swin, dict(transfer_decoder_weights=True)),
-        ("decoder-swin+de", dict(decoder_width=cfg.embed_dim * 4, **vit), {}),
+        ("decoder-vit+de", dict(decoder_width=cfg.embed_dim * 4, **vit), {}),
         ("masking-random", dict(mask_mode="random"), {}),
         ("masking-window", dict(mask_mode="window"), {}),
     ] + [(f"ratio-{r}", dict(mask_ratio=r), {}) for r in (0.45, 0.6, 0.75, 0.9)]

@@ -25,7 +25,6 @@ DEFAULTS = {
         for cls in (ModelSpec, SwinUnetSpec)
         for f in dataclasses.fields(cls) if f.name != "image"
     },
-    "mask_mode": "window",
     "epochs": 10,
     "lr_max": 1e-4,
     "batch_size": 48,

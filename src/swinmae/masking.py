@@ -34,6 +34,13 @@ class MaskPlan:
         """Sorted flat indices of the visible tokens."""
         return np.flatnonzero(~self.mask_flags)
 
+    def kept_windows(self):
+        """Ascending indices of the kept windows of a window-mode plan."""
+        if self.mode != "window":
+            raise TensorError(f"cannot pack the kept windows of a {self.mode}-mode plan")
+        kept = ~self.mask_flags.reshape(self.d, self.r, self.d, self.r)[:, 0, :, 0]
+        return np.flatnonzero(kept.reshape(-1))
+
     @property
     def side(self):
         return self.d * self.r
@@ -123,10 +130,7 @@ def kept_window_grid(g, plan):
     Requires a window-mode plan whose kept-window count is a perfect square.
     Windows are placed row-major in ascending window-index order.
     """
-    if plan.mode != "window":
-        raise TensorError(f"cannot pack the kept windows of a {plan.mode}-mode plan")
-    kept_flags = ~plan.mask_flags.reshape(plan.d, plan.r, plan.d, plan.r)[:, 0, :, 0]
-    kept_windows = np.flatnonzero(kept_flags.reshape(-1))
+    kept_windows = plan.kept_windows()
     n_kept = kept_windows.size
     side_w = int(round(np.sqrt(n_kept)))
     if side_w * side_w != n_kept:

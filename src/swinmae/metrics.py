@@ -23,10 +23,6 @@ class ConfusionCounts:
     fn: np.ndarray
     tn: np.ndarray
 
-    @property
-    def total(self):
-        return self.tp + self.fp + self.fn + self.tn
-
 
 def confusion_counts(pred, gt, num_classes):
     """Per-image, per-class tallies of a stack of [N, H, W] label maps, from

@@ -14,7 +14,7 @@ from . import tensor as T
 from .tensor import ParamStore, Tensor, TensorError
 from . import patches as P
 from .patches import PatchSpec, TokenGrid
-from .masking import apply_mask_tokens, kept_window_grid, split_rng
+from .masking import apply_mask_tokens, build_mask_plan, kept_window_grid, split_rng
 
 
 @dataclass
@@ -34,6 +34,7 @@ class ModelSpec:
     attn_window: int = 2
     mask_window_r: int = 2
     mask_ratio: float = 0.75
+    mask_mode: str = "window"  # window | random
 
     def __post_init__(self):
         if self.encoder_variant not in ("I", "II", "III"):
@@ -58,15 +59,6 @@ class ModelSpec:
                 f"token side {side} not divisible by mask window r="
                 f"{self.mask_window_r}"
             )
-        if self.encoder_variant == "II":
-            # the kept windows must pack into the half-side grid the stages
-            # run on; a plan keeps floor(d * d * (1 - mask_ratio)) windows
-            d, q = self.mask_grid_d, (self.mask_grid_d // 2) ** 2
-            if d % 2 or not q <= d * d * (1.0 - self.mask_ratio) < q + 1:
-                raise TensorError(
-                    f"variant II: masking ratio {self.mask_ratio} does not keep "
-                    f"a quarter of the {d}x{d} mask windows"
-                )
         sides = self.stage_sides
         for k, s in enumerate(sides):
             # every stage but the last is merged 2x2 into the next
@@ -79,6 +71,17 @@ class ModelSpec:
                 raise TensorError(
                     f"stage {k} token side {s} not divisible by attention "
                     f"window {self.attn_window}"
+                )
+        # a plan drawn now refuses an unknown mode and a ratio keeping nothing
+        plan = self.mask_plan(split_rng(0))
+        if self.encoder_variant == "II":
+            # the kept windows must pack into the half-side grid the stages
+            # run on
+            d = self.mask_grid_d
+            if d % 2 or plan.kept_windows().size != (d // 2) ** 2:
+                raise TensorError(
+                    f"variant II: masking ratio {self.mask_ratio} does not keep "
+                    f"a quarter of the {d}x{d} mask windows"
                 )
 
     @property
@@ -117,6 +120,12 @@ class ModelSpec:
     @property
     def mask_grid_d(self):
         return self.enc_input_side // self.mask_window_r
+
+    def mask_plan(self, rng):
+        """A mask plan of this spec's grid, ratio and mode, drawn from `rng`."""
+        return build_mask_plan(
+            self.mask_grid_d, self.mask_window_r, self.mask_ratio, rng, mode=self.mask_mode
+        )
 
 
 desk_spec = ModelSpec
@@ -276,8 +285,9 @@ def run_stage(g, ps, prefix, depth, heads, window):
     return g
 
 
-def encoder_forward(image, spec, plan, ps, mask_token=None):
-    """Embed (plus `enc.pos_embed` when the store has one), mask, then run
+def encoder_forward(image, spec, plan, ps):
+    """Embed (plus `enc.pos_embed` when the store has one), mask (with
+    `mask_token`, or by packing the kept windows for variant II), then run
     the hierarchical stages.
 
     Returns (latent TokenGrid, per-stage skip grids taken before each merge).
@@ -298,15 +308,15 @@ def encoder_forward(image, spec, plan, ps, mask_token=None):
             )
         if spec.encoder_variant == "II":
             d = spec.mask_grid_d
-            kept = plan.keep_indices.size // plan.r ** 2
-            if plan.mode == "window" and kept != (d // 2) ** 2:
+            kept = plan.kept_windows().size
+            if kept != (d // 2) ** 2:
                 raise TensorError(
                     f"variant II: the mask plan keeps {kept} windows; the spec "
                     f"needs ({d}//2)^2 = {(d // 2) ** 2}"
                 )
             g = kept_window_grid(g, plan)
         else:
-            g = apply_mask_tokens(g, plan, mask_token)
+            g = apply_mask_tokens(g, plan, ps["mask_token"])
     skips = []
     for k in range(spec.n_stages):
         g = run_stage(
@@ -399,12 +409,7 @@ class SwinMae:
         )
 
     def encode(self, image, plan):
-        mask_token = (
-            self.params["mask_token"]
-            if self.spec.encoder_variant in ("I", "III")
-            else None
-        )
-        return encoder_forward(image, self.spec, plan, self.params, mask_token)
+        return encoder_forward(image, self.spec, plan, self.params)
 
     def decode(self, latent):
         """Latent TokenGrid -> reconstruction tokens [B, L, D]."""

@@ -176,17 +176,16 @@ def augment_batch(images, labels, rng):
             images[i] = images[i, :, :, ::-1]
             labels[i] = labels[i, :, ::-1]
         angle = rng.uniform(-10.0, 10.0)
-        for c in range(images.shape[1]):
-            images[i, c] = ndimage.rotate(
-                images[i, c], angle, reshape=False, order=1, mode="nearest"
-            )
+        # axes (2, 1) turn every channel's plane as the 2-D default (1, 0) does
+        images[i] = ndimage.rotate(
+            images[i], angle, axes=(2, 1), reshape=False, order=1, mode="nearest"
+        )
         labels[i] = ndimage.rotate(
             labels[i], angle, reshape=False, order=0, mode="nearest"
         )
         sigma = rng.uniform(0.0, 1.0)
         if sigma > 0.05:
-            for c in range(images.shape[1]):
-                images[i, c] = ndimage.gaussian_filter(images[i, c], sigma)
+            images[i] = ndimage.gaussian_filter(images[i], (0, sigma, sigma))
         brightness = rng.uniform(-0.1, 0.1)
         contrast = rng.uniform(0.9, 1.1)
         images[i] = np.clip((images[i] - 0.5) * contrast + 0.5 + brightness, 0.0, 1.0)

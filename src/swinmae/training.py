@@ -12,7 +12,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor, TensorError
-from .masking import build_mask_plan, split_rng
+from .masking import split_rng
 
 
 def cosine_lr(lr_max, epoch, epochs):
@@ -246,24 +246,19 @@ def train_epochs(model, epochs, lr_max, batch_size, batches):
 
 def run_pretraining(
     model, images, epochs, lr_max, batch_size, seed,
-    mask_mode="window", csv_path=None, checkpoint_path=None,
-    checkpoint_every=0, log=None,
+    csv_path=None, checkpoint_path=None, checkpoint_every=0, log=None,
 ):
     """Pretrain on an [N,C,H,W] stack; returns the per-epoch mean-loss list.
 
-    A fresh mask plan is drawn per (epoch, batch) from a split RNG stream, so
-    results do not depend on loader timing. The checkpoint is written every
-    `checkpoint_every` epochs (0: never) and after the last epoch.
+    A fresh plan of the model spec's masking is drawn per (epoch, batch) from
+    a split RNG stream, so results do not depend on loader timing. The
+    checkpoint is written every `checkpoint_every` epochs (0: never) and
+    after the last epoch.
     """
-    spec = model.spec
 
     def batches(epoch):
         for bi, lo in enumerate(range(0, images.shape[0], batch_size)):
-            plan = build_mask_plan(
-                spec.mask_grid_d, spec.mask_window_r, spec.mask_ratio,
-                split_rng(seed, epoch, bi), mode=mask_mode,
-            )
-            yield images[lo:lo + batch_size], plan
+            yield images[lo:lo + batch_size], model.spec.mask_plan(split_rng(seed, epoch, bi))
 
     history = []
     for epoch, lr, losses in train_epochs(model, epochs, lr_max, batch_size, batches):

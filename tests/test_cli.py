@@ -165,6 +165,31 @@ def test_pretrain_then_finetune_reruns_are_byte_identical(tmp_path, capsys):
     assert run() == first
 
 
+def test_masking_that_keeps_nothing_is_refused_before_any_file_is_read(
+    tmp_path, capsys, monkeypatch
+):
+    out_dir = tmp_path / "out"
+    reads = []
+    for name in ("scan_dataset", "load_stack", "load_image"):
+        monkeypatch.setattr(cli.D, name, lambda *a, name=name: reads.append(name))
+    rc = cli_main([
+        "pretrain", "--set", f"data_dir={tmp_path}", "--set", f"out_dir={out_dir}",
+        "--set", "mask_ratio=0.95",
+    ])
+    assert rc == 1
+    assert "nothing kept" in capsys.readouterr().err
+    assert reads == []
+    assert not out_dir.exists()
+    # reconstruct builds its model before it opens the checkpoint
+    rc = cli_main([
+        "reconstruct", "--checkpoint", str(tmp_path / "absent.ckpt"),
+        "--image", str(tmp_path / "absent.ppm"), "--out", str(tmp_path / "r.ppm"),
+        "--set", "mask_ratio=0.95",
+    ])
+    assert rc == 1
+    assert "nothing kept" in capsys.readouterr().err
+
+
 def test_reconstruct_writes_triptych(tmp_path, capsys):
     data_dir = gen(tmp_path, n_unlabeled=2, n_labeled=1, seed=1)
     out_dir = tmp_path / "out"
@@ -227,7 +252,7 @@ def test_decoder_embedding_is_not_a_config_key():
 ABLATION_TAGS = [
     "none", "none+pe", "encoder-I", "encoder-I+pe", "encoder-II", "encoder-II+pe",
     "encoder-III", "decoder-vit", "decoder-swin", "decoder-swin+dw",
-    "decoder-swin+de", "masking-random", "masking-window",
+    "decoder-vit+de", "masking-random", "masking-window",
     "ratio-0.45", "ratio-0.6", "ratio-0.75", "ratio-0.9",
 ]
 
@@ -258,9 +283,9 @@ def record_pretraining_modes(monkeypatch):
     calls = []
     real = cli.run_pretraining
 
-    def counted(*args, **kw):
-        calls.append(kw["mask_mode"])
-        return real(*args, **kw)
+    def counted(model, *args, **kw):
+        calls.append(model.spec.mask_mode)
+        return real(model, *args, **kw)
 
     monkeypatch.setattr(cli, "run_pretraining", counted)
     return calls
@@ -276,15 +301,15 @@ def test_ablate_pretrains_each_distinct_configuration_once(tmp_path, capsys, mon
 
 def test_ablate_rows_without_a_mask_mode_take_the_configs(tmp_path, capsys, monkeypatch):
     """With mask_mode=random every pretraining row but masking-window
-    pretrains with random masking, so the encoder-II rows, which can only
-    pack whole windows, are skipped."""
+    pretrains with random masking, so the encoder-II spec, which can only
+    pack whole windows, is refused when built and its rows are skipped."""
     calls = record_pretraining_modes(monkeypatch)
     data_dir = gen(tmp_path, n_unlabeled=4, n_labeled=5)
     out_dir = tmp_path / "ablate"
     sets = [f"data_dir={data_dir}", f"out_dir={out_dir}", "epochs=1",
             "batch_size=4", "augment=false", "mask_mode=random"]
     assert cli_main(["ablate", *(a for kv in sets for a in ("--set", kv))]) == 0
-    assert sorted(calls) == ["random"] * 8 + ["window"]
+    assert sorted(calls) == ["random"] * 7 + ["window"]
     out = capsys.readouterr().out
     for tag in ("encoder-II", "encoder-II+pe"):
         assert f"{tag}: skipped (cannot pack the kept windows of a random-mode plan)" in out
@@ -296,9 +321,8 @@ def test_ablate_rows_without_a_mask_mode_take_the_configs(tmp_path, capsys, monk
 
 def test_ablate_skips_every_row_whose_pretraining_fails(tmp_path, capsys, monkeypatch):
     """At mask ratio 0.95 window masking keeps nothing, so every row that
-    pretrains with it is logged as skipped, and each failed configuration is
-    tried once: the encoder-II spec fails when built, then 4 failing and 5
-    succeeding distinct pretrainings run."""
+    pretrains with it is logged as skipped: its spec is refused when built,
+    and only the 5 distinct pretrainings that can run are called."""
     calls = record_pretraining_modes(monkeypatch)
     data_dir = gen(tmp_path, n_unlabeled=8, n_labeled=6)
     out_dir = tmp_path / "ablate"
@@ -311,7 +335,7 @@ def test_ablate_skips_every_row_whose_pretraining_fails(tmp_path, capsys, monkey
     out = capsys.readouterr().out
     for tag in ABLATION_TAGS:
         assert (f"{tag}: skipped (" in out) == (tag not in kept), tag
-    assert len(calls) == 9
+    assert len(calls) == 5
 
 
 def test_grid_runs_each_configuration_once_in_row_seed_order(tmp_path, monkeypatch):
@@ -320,11 +344,11 @@ def test_grid_runs_each_configuration_once_in_row_seed_order(tmp_path, monkeypat
     skips exactly its rows at every seed."""
     pretrains, finetunes = [], []
 
-    def fake_pretraining(model, images, epochs, lr_max, batch_size, seed, mask_mode):
-        pretrains.append((model.spec.mask_ratio, mask_mode, seed))
+    def fake_pretraining(model, images, epochs, lr_max, batch_size, seed):
+        pretrains.append((model.spec.mask_ratio, model.spec.mask_mode, seed))
         if model.spec.mask_ratio == 0.6:
             raise TensorError("pretraining failed")
-        return [mask_mode, seed]
+        return [model.spec.mask_mode, seed]
 
     def fake_finetune(model, *data_and_schedule, augment):
         seed = data_and_schedule[-1]

@@ -176,6 +176,44 @@ def test_variant2_rejects_a_plan_with_another_kept_window_count():
         model.loss(img, plan)
 
 
+def test_spec_refuses_a_window_ratio_that_keeps_nothing():
+    # floor(16 * 0.05) == 0 of the 4x4 windows
+    with pytest.raises(TensorError, match="nothing kept"):
+        ModelSpec(mask_ratio=0.95)
+
+
+def test_random_masking_at_that_ratio_keeps_three_tokens():
+    # floor(64 * 0.05) == 3 of the 8x8 tokens
+    spec = ModelSpec(mask_ratio=0.95, mask_mode="random")
+    assert spec.mask_plan(split_rng(0, 0)).keep_indices.size == 3
+
+
+def test_spec_refuses_variant2_with_random_masking():
+    with pytest.raises(TensorError, match="cannot pack the kept windows of a random-mode plan"):
+        desk_spec(encoder_variant="II", decoder_variant="VIT", mask_mode="random")
+
+
+def test_spec_refuses_an_unknown_masking_mode():
+    with pytest.raises(TensorError, match="unknown masking mode 'grid'"):
+        ModelSpec(mask_mode="grid")
+
+
+@pytest.mark.parametrize("kw", [
+    dict(), dict(mask_mode="random"), dict(mask_ratio=0.5, mask_mode="random"),
+    dict(encoder_variant="II", decoder_variant="VIT"),
+])
+def test_spec_mask_plan_is_the_build_mask_plan_call_it_replaces(kw):
+    spec = desk_spec(**kw)
+    for keys in ((0, 0), (3, 99), (7, 1, 2)):
+        plan = spec.mask_plan(split_rng(*keys))
+        ref = build_mask_plan(
+            spec.mask_grid_d, spec.mask_window_r, spec.mask_ratio, split_rng(*keys),
+            mode=spec.mask_mode,
+        )
+        assert plan.mode == ref.mode == kw.get("mask_mode", "window")
+        assert plan.mask_flags.tobytes() == ref.mask_flags.tobytes()
+
+
 def test_full_scale_dry_run_shapes():
     kw = dict(
         image=PatchSpec(224, 224, 3, 4), encoder_variant="III",
