@@ -97,15 +97,14 @@ def cmd_pretrain(args):
 
 def cmd_finetune(args):
     cfg = _config(args)
+    spec = _unet_spec(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     manifest = D.scan_dataset(cfg.data_dir).split(cfg.seed)
     images, labels = D.load_labeled(manifest.labeled)
     tensors = None
     if args.checkpoint:
         _, tensors = load_checkpoint(args.checkpoint)
-    model, report = build_swin_unet_from_checkpoint(
-        tensors, _unet_spec(cfg), seed=cfg.seed
-    )
+    model, report = build_swin_unet_from_checkpoint(tensors, spec, seed=cfg.seed)
     _log(
         f"transfer: {len(report.loaded)} loaded, "
         f"{len(report.initialized)} random-init, {len(report.missing)} missing"
@@ -124,10 +123,11 @@ def cmd_finetune(args):
 
 def cmd_eval(args):
     cfg = _config(args)
+    spec = _unet_spec(cfg)
     manifest = D.scan_dataset(cfg.data_dir).split(cfg.seed)
     images, labels = D.load_labeled(manifest.labeled)
     _, tensors = load_checkpoint(args.checkpoint)
-    model = SwinUnet(_unet_spec(cfg), seed=cfg.seed)
+    model = SwinUnet(spec, seed=cfg.seed)
     load_params_strict(model.params, tensors)
     report = evaluate_segmentation(
         model, images[manifest.test], labels[manifest.test], warn=_log
@@ -154,7 +154,6 @@ def cmd_reconstruct(args):
 def cmd_mask_demo(args):
     rng = split_rng(args.seed, 0)
     plan = build_mask_plan(args.d, args.r, args.ratio, rng, mode=args.mode)
-    visible_windows = int(round(len(plan.keep_indices) / (args.r * args.r)))
     cell = max(2, 64 // plan.side)
     px = plan.pixel_mask(plan.side * cell, plan.side * cell)
     # checkerboard background so kept windows are visibly structured
@@ -162,10 +161,9 @@ def cmd_mask_demo(args):
     board = 0.35 + 0.4 * (((yy // cell) + (xx // cell)) % 2)
     img = np.where(px > 0, 0.5, board)
     D.save_ppm(args.out, np.stack([img, img, np.where(px > 0, 0.5, 1.0 - board)]))
-    _log(
-        f"kept {len(plan.keep_indices)}/{plan.n_tokens} tokens "
-        f"({visible_windows} visible windows); wrote {args.out}"
-    )
+    # a random-mode plan keeps scattered tokens, not windows
+    windows = f" ({plan.kept_windows().size} visible windows)" if args.mode == "window" else ""
+    _log(f"kept {len(plan.keep_indices)}/{plan.n_tokens} tokens{windows}; wrote {args.out}")
     return 0
 
 

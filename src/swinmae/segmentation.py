@@ -44,6 +44,8 @@ class SwinUnetSpec:
     def __post_init__(self):
         if self.num_classes < 2:
             raise TensorError("need at least background + one foreground class")
+        # the backbone's checks refuse a geometry that cannot run
+        self.backbone()
 
     def backbone(self):
         """Encoder-side ModelSpec with parameter names/shapes matching the

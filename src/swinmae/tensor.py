@@ -111,15 +111,13 @@ def _record(op, inputs, out_data, backward_fn):
     return out
 
 
-def row_blocks(rows, width, *dtypes):
-    """Yield (lo, hi, bufs) over `rows` rows of `width` elements: [lo, hi)
-    holds whole rows, at most BLOCK elements but at least one row, and `bufs`
-    holds one scratch [hi - lo, width] array per dtype, reused from block to
-    block."""
-    step = max(1, BLOCK // width)
-    bufs = [np.empty((min(step, rows), width), dt) for dt in dtypes]
-    for lo in range(0, rows, step):
-        hi = min(lo + step, rows)
+def blocks(n, *dtypes):
+    """Yield (lo, hi, bufs) over [0, n) in runs of at most BLOCK elements;
+    `bufs` holds one scratch array of hi - lo elements per dtype, reused from
+    run to run."""
+    bufs = [np.empty(min(BLOCK, n), dt) for dt in dtypes]
+    for lo in range(0, n, BLOCK):
+        hi = min(lo + BLOCK, n)
         yield lo, hi, [b[: hi - lo] for b in bufs]
 
 
@@ -440,60 +438,30 @@ def window_attention(q, k, v, mask, scale, bias=None):
     return _record("attention", inputs, out, bw)
 
 
-def _xhat(xs, mu, inv, lo, hi, out):
-    """(x - mu) * inv of rows [lo, hi), written into `out`."""
-    np.subtract(xs[lo:hi], mu[lo:hi], out=out)
-    return np.multiply(out, inv[lo:hi], out=out)
-
-
 def layer_norm(x, gamma, beta, eps=1e-6):
-    """Normalize the last dim to zero mean / unit variance, then affine.
-
-    Forward and backward run BLOCK elements of whole rows at a time."""
+    """Normalize the last dim to zero mean / unit variance, then affine."""
     if eps <= 0:
         raise TensorError("layer_norm: eps must be > 0")
     gamma, beta = as_tensor(gamma, like=x), as_tensor(beta, like=x)
-    n = x.shape[-1]
-    inv_n = 1.0 / n
-    xs = x.data.reshape(-1, n)
-    rows = xs.shape[0]
-    mu = xs.sum(axis=-1, keepdims=True) * inv_n
-    var = np.empty_like(mu)
-    for lo, hi, (xc,) in row_blocks(rows, n, x.dtype):
-        np.subtract(xs[lo:hi], mu[lo:hi], out=xc)
-        np.multiply(xc, xc, out=xc)
-        np.sum(xc, axis=-1, keepdims=True, out=var[lo:hi])
-    var *= inv_n
+    inv_n = 1.0 / x.shape[-1]
+    mu = x.data.sum(axis=-1, keepdims=True) * inv_n
+    xc = x.data - mu
+    var = (xc * xc).sum(axis=-1, keepdims=True) * inv_n
     # an overflowing or NaN variance would otherwise vanish into inv = 0
     _check_finite(var, "layer_norm")
     inv = 1.0 / np.sqrt(var + eps)
-    out = np.empty(x.shape, np.result_type(x.data, gamma.data, beta.data))
-    outs = out.reshape(rows, n)
-    for lo, hi, (xh,) in row_blocks(rows, n, x.dtype):
-        _xhat(xs, mu, inv, lo, hi, xh)
-        np.multiply(xh, gamma.data, out=outs[lo:hi])
-        np.add(outs[lo:hi], beta.data, out=outs[lo:hi])
+    out = xc * inv * gamma.data + beta.data
 
     def bw(g):
         # only the per-row mu and inv are kept; xhat is recomputed from x
-        xs = x.data.reshape(-1, n)
-        gs = g.reshape(-1, n)
-        g_xhat = np.empty(x.shape, np.result_type(g, x.data))
-        gx = np.empty(x.shape, np.result_type(g, x.data, gamma.data))
-        g_xhats, gxs = g_xhat.reshape(rows, n), gx.reshape(rows, n)
-        for lo, hi, (xh, a, b) in row_blocks(rows, n, x.dtype, gx.dtype, gx.dtype):
-            _xhat(xs, mu, inv, lo, hi, xh)
-            np.multiply(gs[lo:hi], xh, out=g_xhats[lo:hi])
-            # gx = inv * (a - mean(a) - xhat * mean(a * xhat)), a = g * gamma
-            np.multiply(gs[lo:hi], gamma.data, out=a)
-            s1 = a.sum(axis=-1, keepdims=True) * inv_n
-            np.multiply(a, xh, out=b)
-            s2 = b.sum(axis=-1, keepdims=True) * inv_n
-            np.multiply(xh, s2, out=b)
-            np.subtract(a, s1, out=a)
-            np.subtract(a, b, out=a)
-            np.multiply(inv[lo:hi], a, out=gxs[lo:hi])
-        return gx, _unbroadcast(g_xhat, gamma.shape), _unbroadcast(g, beta.shape)
+        xhat = (x.data - mu) * inv
+        a = g * gamma.data
+        gx = inv * (
+            a
+            - a.sum(axis=-1, keepdims=True) * inv_n
+            - xhat * ((a * xhat).sum(axis=-1, keepdims=True) * inv_n)
+        )
+        return gx, _unbroadcast(g * xhat, gamma.shape), _unbroadcast(g, beta.shape)
 
     return _record("layer_norm", (x, gamma, beta), out, bw)
 
@@ -513,8 +481,8 @@ def _gelu_tanh(x, cube, out):
 def _gelu_into(x, out, op):
     """GELU of the array x written into `out`, BLOCK elements at a time; an
     overflowing cube raises an error naming `op`."""
-    xs, outs = x.reshape(-1, 1), out.reshape(-1, 1)
-    for lo, hi, (c,) in row_blocks(xs.shape[0], 1, x.dtype):
+    xs, outs = x.reshape(-1), out.reshape(-1)
+    for lo, hi, (c,) in blocks(xs.size, x.dtype):
         xb, ob = xs[lo:hi], outs[lo:hi]
         np.multiply(xb, xb, out=c)
         np.multiply(c, xb, out=c)
@@ -533,9 +501,9 @@ def _gelu_grad(x, g, gx, y=None):
     """g * GELU'(x) written into `gx`, which may be g, BLOCK elements at a
     time. Nothing full-size is kept: tanh is recomputed from x. Given `y`,
     the same pass writes the GELU output into it, bit for bit."""
-    xs, gs, gxs = x.reshape(-1, 1), g.reshape(-1, 1), gx.reshape(-1, 1)
-    ys = None if y is None else y.reshape(-1, 1)
-    for lo, hi, (t, dt, h) in row_blocks(xs.shape[0], 1, x.dtype, x.dtype, x.dtype):
+    xs, gs, gxs = x.reshape(-1), g.reshape(-1), gx.reshape(-1)
+    ys = None if y is None else y.reshape(-1)
+    for lo, hi, (t, dt, h) in blocks(xs.size, x.dtype, x.dtype, x.dtype):
         xb = xs[lo:hi]
         np.multiply(xb, xb, out=dt)
         np.multiply(dt, xb, out=t)

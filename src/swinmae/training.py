@@ -47,11 +47,9 @@ class Adam:
                 continue
             if not p.data.flags.c_contiguous:
                 p.data = np.ascontiguousarray(p.data)
-            # flat [N, 1] views: p.data, m and v are updated through them
-            ps, ms, vs, gs = (
-                a.reshape(-1, 1) for a in (p.data, self.m[name], self.v[name], g)
-            )
-            for lo, hi, (a, b) in T.row_blocks(ps.shape[0], 1, p.dtype, p.dtype):
+            # flat views: p.data, m and v are updated through them
+            ps, ms, vs, gs = (a.reshape(-1) for a in (p.data, self.m[name], self.v[name], g))
+            for lo, hi, (a, b) in T.blocks(ps.size, p.dtype, p.dtype):
                 m, v, gb = ms[lo:hi], vs[lo:hi], gs[lo:hi]
                 # m = BETA1 * m + (1 - BETA1) * g
                 m *= BETA1
@@ -241,6 +239,8 @@ def train_epochs(model, epochs, lr_max, batch_size, batches):
         losses = [
             train_step(model, x, target, optimizer, lr) for x, target in batches(epoch)
         ]
+        if not losses:
+            raise TensorError(f"epoch {epoch}: no batches to train on")
         yield epoch, lr, losses
 
 

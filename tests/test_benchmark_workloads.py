@@ -1,8 +1,9 @@
 """The benchmark's workloads (perfbench/workloads.py) call swinmae's training,
 masking and segmentation functions directly. This test loads them as they
-are and runs one unit of the desk-pretrain and transfer workloads the way
-perfbench/run.py does, so a changed signature or a failing check shows here
-rather than in a benchmark run. fullscale-step is left out for its cost."""
+are and runs one unit of each workload the way perfbench/run.py does, so a
+changed signature or a failing check shows here rather than in a benchmark
+run. The fullscale-step unit runs one Adam step instead of its three, which
+keeps it to a few seconds and still calls everything the workload calls."""
 
 import importlib.util
 import math
@@ -22,9 +23,10 @@ def load(name):
     return mod
 
 
-@pytest.mark.parametrize("name", ["desk-pretrain", "transfer"])
-def test_one_unit_of_the_workload_passes_its_checks(tmp_path, name):
+@pytest.mark.parametrize("name", ["desk-pretrain", "transfer", "fullscale-step"])
+def test_one_unit_of_the_workload_passes_its_checks(tmp_path, monkeypatch, name):
     tr, wl_mod = load("tracer"), load("workloads")
+    monkeypatch.setattr(wl_mod, "FULL_STEPS", 1)
     wl = wl_mod.WORKLOADS[name](1, str(tmp_path))
     rec = tr.Recorder()
     wl.prepare()

@@ -80,6 +80,14 @@ def test_mask_demo_counts_and_output(tmp_path, capsys):
     assert "kept 192/784 tokens (12 visible windows)" in text
     img = load_image(out)
     assert img.shape[0] == 3
+    # random mode keeps scattered tokens, so the log counts no windows
+    rc = cli_main([
+        "mask-demo", "--d", "4", "--r", "2", "--ratio", "0.75", "--mode", "random",
+        "--out", str(out),
+    ])
+    assert rc == 0
+    text = capsys.readouterr().out
+    assert f"kept 16/64 tokens; wrote {out}" in text
     # nothing kept -> runtime failure
     rc = cli_main([
         "mask-demo", "--d", "2", "--r", "1", "--ratio", "0.9",
@@ -170,8 +178,9 @@ def test_masking_that_keeps_nothing_is_refused_before_any_file_is_read(
 ):
     out_dir = tmp_path / "out"
     reads = []
-    for name in ("scan_dataset", "load_stack", "load_image"):
+    for name in ("scan_dataset", "load_stack", "load_labeled", "load_image"):
         monkeypatch.setattr(cli.D, name, lambda *a, name=name: reads.append(name))
+    monkeypatch.setattr(cli, "load_checkpoint", lambda *a: reads.append("load_checkpoint"))
     rc = cli_main([
         "pretrain", "--set", f"data_dir={tmp_path}", "--set", f"out_dir={out_dir}",
         "--set", "mask_ratio=0.95",
@@ -188,6 +197,18 @@ def test_masking_that_keeps_nothing_is_refused_before_any_file_is_read(
     ])
     assert rc == 1
     assert "nothing kept" in capsys.readouterr().err
+    # finetune and eval build the Swin-Unet spec before they read anything;
+    # the desk stage side 8 is not divisible by a window of 3
+    for command in ("finetune", "eval"):
+        rc = cli_main([
+            command, "--checkpoint", str(tmp_path / "absent.ckpt"),
+            "--set", f"data_dir={tmp_path / 'missing'}", "--set", f"out_dir={out_dir}",
+            "--set", "attn_window=3",
+        ])
+        assert rc == 1
+        assert "not divisible by attention window" in capsys.readouterr().err
+    assert reads == []
+    assert not out_dir.exists()
 
 
 def test_reconstruct_writes_triptych(tmp_path, capsys):

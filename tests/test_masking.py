@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import swinmae.tensor as T
 from swinmae.tensor import Tape, Tensor, TensorError
@@ -104,6 +107,34 @@ def test_whole_window_property():
         flags = plan.mask_flags.reshape(4, 3, 4, 3)
         per_window = flags.transpose(0, 2, 1, 3).reshape(16, 9)
         assert all(len(set(w.tolist())) == 1 for w in per_window)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(1, 8), r=st.integers(1, 4), ratio=st.floats(0.0, 0.99),
+    seed=st.integers(0, 2**32 - 1), mode=st.sampled_from(["window", "random"]),
+    p=st.integers(1, 3),
+)
+def test_mask_plan_invariants_property(d, r, ratio, seed, mode, p):
+    # window mode draws d*d windows of r*r tokens, random mode single tokens
+    units, unit_tokens = (d * d, r * r) if mode == "window" else ((d * r) ** 2, 1)
+    n_keep = math.floor(units * (1.0 - ratio))
+    if n_keep == 0:
+        with pytest.raises(TensorError, match="nothing kept"):
+            build_mask_plan(d, r, ratio, split_rng(seed), mode=mode)
+        return
+    plan = build_mask_plan(d, r, ratio, split_rng(seed), mode=mode)
+    keep = plan.keep_indices
+    assert keep.size == n_keep * unit_tokens
+    assert np.all(np.diff(keep) > 0)
+    if mode == "window":
+        per_window = plan.mask_flags.reshape(d, r, d, r).transpose(0, 2, 1, 3).reshape(d * d, -1)
+        assert np.all(per_window.all(axis=1) | ~per_window.any(axis=1))
+        kept = plan.kept_windows()
+        assert np.all(np.diff(kept) > 0)
+        assert np.array_equal(kept, np.flatnonzero(~per_window[:, 0]))
+    side = plan.side * p
+    assert plan.pixel_mask(side, side).sum() == (plan.n_tokens - keep.size) * p * p
 
 
 def test_determinism_and_seed_sensitivity():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import swinmae.tensor as T
 import swinmae.patches as P
@@ -157,6 +158,50 @@ def test_window_roundtrip_random():
         win = P.window_partition(g, w)
         back = P.window_reverse(win, w, side, side)
         assert np.array_equal(back.data.data, g.data.data)
+
+
+def random_data(seed, shape, dtype):
+    return Tensor(np.random.default_rng(seed).standard_normal(shape).astype(dtype))
+
+
+DTYPES = st.sampled_from([np.float32, np.float64])
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(side=st.integers(1, 4), nh=st.integers(1, 3), nw=st.integers(1, 3),
+       batch=st.integers(1, 3), dim=st.integers(1, 4), dtype=DTYPES, seed=SEEDS)
+def test_window_roundtrip_property(side, nh, nw, batch, dim, dtype, seed):
+    h, w = side * nh, side * nw
+    g = TokenGrid(h, w, random_data(seed, (batch, h * w, dim), dtype))
+    back = P.window_reverse(P.window_partition(g, side), side, h, w)
+    assert back.data.data.dtype == dtype
+    assert back.data.data.tobytes() == g.data.data.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(side=st.integers(2, 4), nh=st.integers(1, 3), nw=st.integers(1, 3),
+       batch=st.integers(1, 3), dim=st.integers(1, 4), dtype=DTYPES, seed=SEEDS,
+       data=st.data())
+def test_shift_unshift_roundtrip_property(side, nh, nw, batch, dim, dtype, seed, data):
+    h, w = side * nh, side * nw
+    shift = data.draw(st.integers(1, side - 1))
+    g = TokenGrid(h, w, random_data(seed, (batch, h * w, dim), dtype))
+    shifted, _ = P.cyclic_shift(g, shift, side)
+    back = P.cyclic_unshift(shifted, shift)
+    assert back.data.data.dtype == dtype
+    assert back.data.data.tobytes() == g.data.data.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(1, 4), nh=st.integers(1, 3), nw=st.integers(1, 3),
+       batch=st.integers(1, 3), c=st.integers(1, 3), dtype=DTYPES, seed=SEEDS)
+def test_flatten_patches_roundtrip_property(p, nh, nw, batch, c, dtype, seed):
+    h, w = p * nh, p * nw
+    image = random_data(seed, (batch, c, h, w), dtype)
+    back = P.unflatten_patches(P.flatten_patches(image, p), h, w, c, p)
+    assert back.data.dtype == dtype
+    assert back.data.tobytes() == image.data.tobytes()
 
 
 def test_window_partition_divisibility_error():

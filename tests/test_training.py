@@ -593,6 +593,18 @@ def test_train_epochs_yields_each_epoch_with_its_cosine_lr():
     assert all(len(losses) == 2 and np.isfinite(losses).all() for _, _, losses in out)
 
 
+def test_train_epochs_refuses_an_epoch_with_no_batches(tmp_path):
+    """An empty stack raises before the first epoch is yielded, so nothing is
+    written: no untrained checkpoint and no CSV of NaN losses."""
+    with pytest.raises(TensorError, match="epoch 0: no batches"):
+        run_pretraining(
+            SwinMae(desk_spec(), seed=0), tiny_images(2)[:0], epochs=1, lr_max=1e-3,
+            batch_size=8, seed=0, csv_path=tmp_path / "loss.csv",
+            checkpoint_path=tmp_path / "p.ckpt",
+        )
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("every, saved_epochs", [(1, [0, 1, 2]), (2, [1, 2]), (0, [2])])
 def test_pretraining_saves_each_checkpoint_once(tmp_path, monkeypatch, every, saved_epochs):
     """The last epoch is saved once, whether or not checkpoint_every divides
