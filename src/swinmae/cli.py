@@ -82,9 +82,8 @@ def cmd_gen_data(args):
 def cmd_pretrain(args):
     cfg = _config(args)
     model = SwinMae(_model_spec(cfg), seed=cfg.seed)
+    images = D.load_stack(D.scan_dataset(cfg.data_dir).unlabeled)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    manifest = D.scan_dataset(cfg.data_dir)
-    images = D.load_stack(manifest.unlabeled)
     _log(cfg.resolved())
     run_pretraining(
         model, images, cfg.epochs, cfg.lr_max, cfg.batch_size, cfg.seed,
@@ -98,7 +97,6 @@ def cmd_pretrain(args):
 def cmd_finetune(args):
     cfg = _config(args)
     spec = _unet_spec(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     manifest = D.scan_dataset(cfg.data_dir).split(cfg.seed)
     images, labels = D.load_labeled(manifest.labeled)
     tensors = None
@@ -109,6 +107,7 @@ def cmd_finetune(args):
         f"transfer: {len(report.loaded)} loaded, "
         f"{len(report.initialized)} random-init, {len(report.missing)} missing"
     )
+    os.makedirs(cfg.out_dir, exist_ok=True)
     run_finetune(
         model,
         images[manifest.train], labels[manifest.train],
@@ -144,6 +143,8 @@ def cmd_reconstruct(args):
     _, tensors = load_checkpoint(args.checkpoint)
     load_params_strict(model.params, tensors)
     image = D.load_image(args.image)
+    if image.ndim != 3:
+        raise TensorError(f"{args.image}: not a [3, H, W] image, got shape {image.shape}")
     plan = model.spec.mask_plan(split_rng(cfg.seed, 99))
     recon = model.reconstruct(Tensor(image[None]), plan)
     D.emit_triptych(image, recon.data[0], plan, args.out)
@@ -187,28 +188,32 @@ def run_grid(rows, seeds, pretrain_cfg, finetune_cfg):
 
     A row is (tag, `ModelSpec` overrides or None for no pretraining,
     Swin-Unet overrides); each phase reads its data, schedule and spec
-    defaults from its config. Repeated runs are reused: pretrainings are
-    keyed by (spec repr, seed), fine-tunes by that key, or (None, seed), and
-    the Swin-Unet spec repr. Returns, per row and seed,
-    (pretraining loss history or None, fine-tune history, best epoch), or
-    the TensorError, from building the spec or pretraining, that skips it.
+    defaults from its config, and every spec is built before any file is
+    read. Repeated runs are reused: pretrainings are keyed by (spec repr,
+    seed), fine-tunes by that key, or (None, seed), and the Swin-Unet spec
+    repr. Returns, per row and seed, (pretraining loss history or None,
+    fine-tune history, best epoch), or the TensorError, from building the
+    spec or pretraining, that skips it.
     """
+    specs = []
+    for _, pre_kw, unet_kw in rows:
+        unet = _unet_spec(finetune_cfg, **unet_kw)
+        try:
+            specs.append((None if pre_kw is None else _model_spec(pretrain_cfg, **pre_kw), unet))
+        except TensorError as exc:
+            specs.append((exc, unet))
     unlabeled = D.load_stack(D.scan_dataset(pretrain_cfg.data_dir).unlabeled)
     manifest = D.scan_dataset(finetune_cfg.data_dir)
     images, labels = D.load_labeled(manifest.labeled)
     pretrained = {(None, seed): (None, None) for seed in seeds}
     finetuned, results = {}, []
-    for _, pre_kw, unet_kw in rows:
-        unet = _unet_spec(finetune_cfg, **unet_kw)
-        if pre_kw is not None:
-            try:
-                spec = _model_spec(pretrain_cfg, **pre_kw)
-            except TensorError as exc:
-                results.append([exc] * len(seeds))
-                continue
+    for spec, unet in specs:
+        if isinstance(spec, TensorError):
+            results.append([spec] * len(seeds))
+            continue
         runs = []
         for seed in seeds:
-            key = (None, seed) if pre_kw is None else (repr(spec), seed)
+            key = (None, seed) if spec is None else (repr(spec), seed)
             if key not in pretrained:
                 try:
                     model = SwinMae(spec, seed=seed)
@@ -239,7 +244,6 @@ def run_grid(rows, seeds, pretrain_cfg, finetune_cfg):
 
 def cmd_ablate(args):
     cfg = _config(args)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     vit = dict(decoder_variant="VIT")
     swin = dict(decoder_variant="SWIN", decoder_width=0)
     pe = dict(use_abs_pos_embed=True)
@@ -273,6 +277,7 @@ def cmd_ablate(args):
             f"miou {rep['miou_pct']:.2f} hd {rep['hd']:.3f}"
         )
 
+    os.makedirs(cfg.out_dir, exist_ok=True)
     out = os.path.join(cfg.out_dir, "ablation.csv")
     write_csv(
         out, ("experiment", *METRICS),

@@ -159,7 +159,7 @@ class DatasetManifest:
         self.train = sorted(shuffled[:n_train])
         self.test = sorted(shuffled[n_train:])
         if not self.train or not self.test:
-            raise TensorError("split produced an empty train or test set")
+            raise TensorError(f"split of {len(order)} labeled images left train or test empty")
         return self
 
 
@@ -205,10 +205,14 @@ def scan_dataset(root):
 
 def load_stack(paths):
     """Image paths -> [N,3,H,W] float stack."""
+    if not paths:
+        raise TensorError("no images found")
     return np.stack([load_image(p) for p in paths])
 
 
 def load_labeled(pairs):
+    if not pairs:
+        raise TensorError("no labeled images found")
     images = np.stack([load_image(ip) for ip, _ in pairs])
     labels = np.stack([load_image(lp) for _, lp in pairs])
     if labels.shape[-2:] != images.shape[-2:]:

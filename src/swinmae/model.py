@@ -232,20 +232,14 @@ def attention(xw, ps, prefix, heads, rel_index=None, mask=None):
     """Multi-head self-attention over [nB, T, C] sequences.
 
     `rel_index` selects rows of the learned relative-bias table; `mask` is a
-    constant additive [nW, T, T] array (-inf across regions). The attention
-    core from the head splits to the head merge is one tape node.
+    constant additive [nW, T, T] array (-inf across regions).
     """
-    _, t, c = xw.shape
     q, k, v = (
-        T.split_heads(T.matmul(xw, ps[f"{prefix}.{nm}.w"], ps[f"{prefix}.{nm}.b"]), heads)
+        T.matmul(xw, ps[f"{prefix}.{nm}.w"], ps[f"{prefix}.{nm}.b"])
         for nm in ("wq", "wk", "wv")
     )
-    bias = None
-    if rel_index is not None:
-        bias = T.gather(ps[prefix + ".rel_table"], rel_index, axis=0)
-        bias = T.reshape(bias, (t, t, heads))
-        bias = T.reshape(T.transpose(bias, (2, 0, 1)), (1, heads, t, t))
-    out = T.window_attention(q, k, v, mask, scale=1.0 / np.sqrt(c // heads), bias=bias)
+    bias = None if rel_index is None else T.gather(ps[prefix + ".rel_table"], rel_index)
+    out = T.window_attention(q, k, v, heads, mask, bias)
     return T.matmul(out, ps[prefix + ".proj.w"], ps[prefix + ".proj.b"])
 
 

@@ -246,18 +246,6 @@ def transpose(a, axes):
     return _record("transpose", (a,), out, bw)
 
 
-def split_heads(x, heads):
-    """[nB, T, C] -> [nB, heads, T, C // heads] as a view of x's data; the
-    gradient comes back contiguous."""
-    nb, t, c = x.shape
-    out = x.data.reshape(nb, t, heads, c // heads).transpose(0, 2, 1, 3)
-
-    def bw(g):
-        return (np.ascontiguousarray(g.transpose(0, 2, 1, 3)).reshape(nb, t, c),)
-
-    return _record("split_heads", (x,), out, bw)
-
-
 def roll(a, shifts, axes):
     shifts = tuple(shifts)
     axes = tuple(axes)
@@ -355,7 +343,7 @@ def matmul(a, b, bias=None):
 def _softmax(x, mask, scale, bias):
     """softmax_lastdim's forward on arrays; `bias` is an array or None. Every
     step writes one fresh array, never `x`; exp(-inf) is exactly 0."""
-    s = np.array(x, order="C") if scale is None else np.multiply(x, scale, order="C")
+    s = np.multiply(x, scale, order="C")
     if bias is not None:
         s += bias
     if mask is not None:
@@ -372,16 +360,15 @@ def _softmax(x, mask, scale, bias):
     return s
 
 
-def _softmax_grads(out, g, scale, bias):
-    """Gradients of the scores and of the bias Tensor (None without one) for
-    the gradient g of the softmax output `out`, in one scratch array."""
+def _softmax_grads(out, g, scale, bias_shape):
+    """Gradients of the scores and of a bias of `bias_shape` (None without
+    one) for the gradient g of the softmax output `out`, in one scratch
+    array."""
     gs = g * out
     dot = gs.sum(axis=-1, keepdims=True)
     np.subtract(g, dot, out=gs)
     gs *= out
-    gb = None if bias is None else _grad(bias, lambda: gs)
-    if scale is None:
-        return gs, gb
+    gb = None if bias_shape is None else _unbroadcast(gs, bias_shape)
     # with one window the bias gradient can be a view of gs
     if gb is not None and np.may_share_memory(gb, gs):
         return gs * scale, gb
@@ -389,50 +376,58 @@ def _softmax_grads(out, g, scale, bias):
     return gs, gb
 
 
-def softmax_lastdim(x, mask=None, scale=None, bias=None):
+def softmax_lastdim(x, mask=None, scale=1.0, bias=None):
     """Stable softmax over the last dim of `x * scale + bias + mask`; -inf
     entries map to exact 0.
 
-    `scale` is a constant factor. `bias` is a Tensor broadcast against x; it
-    gets a gradient. `mask` is a constant additive [nW, T, T] array added to
-    [nB, heads, T, T] scores whose batch index runs over the nW windows
-    fastest; it gets no gradient.
+    `scale` is a constant factor; the default 1.0 leaves x bit for bit.
+    `bias` is a Tensor broadcast against x; it gets a gradient. `mask` is a
+    constant additive [nW, T, T] array added to [nB, heads, T, T] scores
+    whose batch index runs over the nW windows fastest; it gets no gradient.
     """
     if x.shape[-1] < 1:
         raise TensorError("softmax: empty last dim")
-    scale = None if scale is None else float(scale)
+    scale = float(scale)
     out = _softmax(x.data, mask, scale, None if bias is None else bias.data)
 
     def bw(g):
-        gx, gb = _softmax_grads(out, g, scale, bias)
+        gx, gb = _softmax_grads(out, g, scale, None if bias is None else bias.shape)
         return (gx,) if bias is None else (gx, gb)
 
     inputs = (x,) if bias is None else (x, bias)
     return _record("softmax", inputs, out, bw)
 
 
-def window_attention(q, k, v, mask, scale, bias=None):
-    """softmax(q @ k^T * scale + bias + mask) @ v over [nB, heads, T, hd]
-    heads, merged into [nB, T, heads * hd]. One tape node, bit-exact with the
-    k^T copy, matmuls, softmax_lastdim and head merge it replaces; it keeps
+def window_attention(q, k, v, heads, mask=None, bias=None):
+    """softmax(q @ k^T / sqrt(hd) + bias + mask) @ v over [nB, heads, T, hd]
+    views of the [nB, T, C] projections, merged back into [nB, T, C]. `bias`
+    holds [T*T, heads] gathered relative-bias rows; `mask` is as in
+    softmax_lastdim. One tape node, bit-exact with the unfused chain; it keeps
     only the attention weights, and backward rebuilds k^T as the same
     contiguous copy (a view there changes the GEMM's rounding)."""
-    nb, heads, t, hd = q.shape
-    scale = float(scale)
-    scores = q.data @ np.ascontiguousarray(k.data.transpose(0, 1, 3, 2))
+    nb, t, c = q.shape
+    hd = c // heads
+    scale = float(1.0 / np.sqrt(hd))
+    qh, kh, vh = (x.data.reshape(nb, t, heads, hd).transpose(0, 2, 1, 3) for x in (q, k, v))
+
+    def merged(h, axes=(0, 2, 1, 3)):
+        return None if h is None else np.ascontiguousarray(h.transpose(axes)).reshape(nb, t, c)
+
+    scores = qh @ np.ascontiguousarray(kh.transpose(0, 1, 3, 2))
     _check_finite(scores, "attention")
-    a = _softmax(scores, mask, scale, None if bias is None else bias.data)
+    b = None if bias is None else bias.data.reshape(t, t, heads).transpose(2, 0, 1)
+    a = _softmax(scores, mask, scale, b)
     del scores
-    out = np.ascontiguousarray((a @ v.data).transpose(0, 2, 1, 3)).reshape(nb, t, heads * hd)
+    out = merged(a @ vh)
 
     def bw(g):
         gp = np.ascontiguousarray(g.reshape(nb, t, heads, hd).transpose(0, 2, 1, 3))
-        ga, gv = _matmul_grads(a, v.data, gp, True, v.requires_grad)
-        gs, gb = _softmax_grads(a, ga, scale, bias)
-        kt = np.ascontiguousarray(k.data.transpose(0, 1, 3, 2))
-        gq, gkt = _matmul_grads(q.data, kt, gs, q.requires_grad, k.requires_grad)
-        gk = None if gkt is None else np.ascontiguousarray(gkt.transpose(0, 1, 3, 2))
-        return (gq, gk, gv) if bias is None else (gq, gk, gv, gb)
+        ga, gv = _matmul_grads(a, vh, gp, True, v.requires_grad)
+        gs, gb = _softmax_grads(a, ga, scale, None if bias is None else (1, heads, t, t))
+        kt = np.ascontiguousarray(kh.transpose(0, 1, 3, 2))
+        gq, gkt = _matmul_grads(qh, kt, gs, q.requires_grad, k.requires_grad)
+        grads = merged(gq), merged(gkt, (0, 3, 1, 2)), merged(gv)
+        return grads if bias is None else (*grads, np.ascontiguousarray(gb.reshape(heads, -1).T))
 
     inputs = (q, k, v) if bias is None else (q, k, v, bias)
     return _record("attention", inputs, out, bw)

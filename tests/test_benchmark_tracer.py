@@ -38,15 +38,27 @@ def swinmae_attributes():
     return out
 
 
-def desk_step():
+def desk_unit():
     spec = model.desk_spec()
     m = model.SwinMae(spec, seed=3)
     plan = masking.build_mask_plan(
         spec.mask_grid_d, spec.mask_window_r, spec.mask_ratio, masking.split_rng(3, 0)
     )
-    images = np.random.default_rng(7).random((2, 3, 32, 32))
+    return m, plan, np.random.default_rng(7).random((2, 3, 32, 32))
+
+
+def desk_step():
+    m, plan, images = desk_unit()
     loss = training.train_step(m, images, plan, training.Adam(m.params), 1e-3)
     return loss, {n: p.data.tobytes() for n, p in m.params.items()}
+
+
+def desk_step_nodes():
+    """Tape nodes of the desk step's loss, recorded as `train_step` records it."""
+    m, plan, images = desk_unit()
+    with tensor.Tape() as tape:
+        m.loss(tensor.Tensor(images.astype(m.dtype)), plan)
+    return len(tape.nodes)
 
 
 def test_traced_desk_step_wraps_every_name_and_restores_them():
@@ -56,6 +68,7 @@ def test_traced_desk_step_wraps_every_name_and_restores_them():
     for fn in tr.PATCH_FNS:
         assert hasattr(patches, fn), fn
     plain_loss, plain_params = desk_step()
+    plain_nodes = desk_step_nodes()
     before = swinmae_attributes()
     rec = tr.Recorder()
     tracer = tr.Tracer(rec)
@@ -75,7 +88,8 @@ def test_traced_desk_step_wraps_every_name_and_restores_them():
     assert traced_loss == plain_loss and traced_params == plain_params
     assert rec.losses == [plain_loss] and len(rec.steps) == 1
     assert set(out) == {name for name, _ in tr.per_layer_names()}
-    assert out["tensor.nodes"] == 202
+    # tracing adds no node
+    assert out["tensor.nodes"] == plain_nodes
     # every encoder stage's attention and block scopes, read from the
     # prefix argument, and the embed, merge, decoder and loss scopes
     for scope in tr.MODEL_SCOPES:

@@ -147,7 +147,8 @@ def test_bad_epochs_or_batch_size_exit_1_and_write_nothing(tmp_path, capsys, com
     ])
     assert rc == 1
     assert "epochs and batch_size must be >= 1" in capsys.readouterr().err
-    assert list(out_dir.iterdir()) == []
+    # ablate makes its out_dir only once the grid has run
+    assert not out_dir.exists() if command == "ablate" else list(out_dir.iterdir()) == []
 
 
 def test_pretrain_then_finetune_reruns_are_byte_identical(tmp_path, capsys):
@@ -207,7 +208,42 @@ def test_masking_that_keeps_nothing_is_refused_before_any_file_is_read(
         ])
         assert rc == 1
         assert "not divisible by attention window" in capsys.readouterr().err
+    # so does every row of the ablation grid
+    rc = cli_main([
+        "ablate", "--set", f"data_dir={tmp_path / 'missing'}", "--set", f"out_dir={out_dir}",
+        "--set", "attn_window=3",
+    ])
+    assert rc == 1
+    assert "not divisible by attention window" in capsys.readouterr().err
     assert reads == []
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command,message", [
+    ("pretrain", "no images found"),
+    ("finetune", "split of 0 labeled images left train or test empty"),
+    ("ablate", "no images found"),
+])
+def test_an_empty_data_dir_is_named_and_leaves_no_out_dir(tmp_path, capsys, command, message):
+    (tmp_path / "empty").mkdir()
+    out_dir = tmp_path / "out"
+    rc = cli_main([
+        command, "--set", f"data_dir={tmp_path / 'empty'}", "--set", f"out_dir={out_dir}",
+    ])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_finetune_from_a_missing_checkpoint_leaves_no_out_dir(tmp_path, capsys):
+    data_dir = gen(tmp_path, n_unlabeled=2, n_labeled=5)
+    out_dir = tmp_path / "out"
+    rc = cli_main([
+        "finetune", "--checkpoint", str(tmp_path / "absent.ckpt"),
+        "--set", f"data_dir={data_dir}", "--set", f"out_dir={out_dir}",
+    ])
+    assert rc == 1
+    assert "absent.ckpt" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
@@ -232,6 +268,17 @@ def test_reconstruct_writes_triptych(tmp_path, capsys):
     assert rc == 0
     img = load_image(trip)
     assert img.shape == (3, 32, 3 * 32 + 2 * 2)
+    capsys.readouterr()
+    # a label map is refused by name
+    label_path = scan_dataset(data_dir).labeled[0][1]
+    rc = cli_main([
+        "reconstruct",
+        "--checkpoint", str(out_dir / "pretrain.ckpt"),
+        "--image", str(label_path), "--out", str(tmp_path / "label_trip.ppm"), *fast,
+    ])
+    assert rc == 1
+    assert f"{label_path}: not a [3, H, W] image" in capsys.readouterr().err
+    assert not (tmp_path / "label_trip.ppm").exists()
 
 
 def test_grad_check_exits_zero(capsys):

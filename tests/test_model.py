@@ -232,6 +232,14 @@ def test_full_scale_dry_run_shapes():
     tokens = swin.decode(latent)
     assert tokens.shape == (1, 56 * 56, 48)
     assert swin.recon_patch == 4
+    # the paper-geometry tape: 12 encoder and 10 decoder blocks, each core
+    # fed straight by its q, k and v projections
+    with Tape() as tape:
+        swin.loss(img, plan)
+    producer = {id(n.output): n.op for n in tape.nodes}
+    attn = [n for n in tape.nodes if n.op == "attention"]
+    assert (len(tape.nodes), len(attn)) == (475, 22)
+    assert {producer.get(id(t)) for n in attn for t in n.inputs[:3]} == {"matmul"}
 
 
 @pytest.mark.parametrize("variant,decoder", [
@@ -348,10 +356,9 @@ def test_desk_loss_tape_node_count():
     """LayerNorm, the MLP and each linear layer (matmul with its bias) are one
     tape node each: 18 LN + 7 MLP calls at depth 1. The attention core from
     the head splits to the head merge, with the score scale, the relative
-    bias and (at depth 2, in shifted blocks) the shift mask, is one node, and
-    each head split is one node. A B=16 f32 desk loss has 7134248 bytes of
-    node outputs, counting the q/k/v head splits, which are views."""
-    for depths, nodes in (((1, 1, 1, 1), 202), ((2, 2, 2, 2), 387)):
+    bias layout and (at depth 2, in shifted blocks) the shift mask, is one
+    node. A B=16 f32 desk loss has 6419216 bytes of node outputs."""
+    for depths, nodes in (((1, 1, 1, 1), 160), ((2, 2, 2, 2), 303)):
         spec = desk_spec(stage_depths=depths)
         model = SwinMae(spec, seed=0)
         plan = build_mask_plan(
@@ -368,10 +375,10 @@ def test_desk_loss_tape_node_count():
     image = Tensor(split_rng(0, 2).random((16, 3, 32, 32)), dtype=np.float32)
     with Tape() as tape:
         model.loss(image, plan)
-    assert sum(n.output.data.nbytes for n in tape.nodes) == 7134248
+    assert sum(n.output.data.nbytes for n in tape.nodes) == 6419216
 
 
-@pytest.mark.parametrize("decoder,nodes", [("VIT", 157), ("SWIN", 200)])
+@pytest.mark.parametrize("decoder,nodes", [("VIT", 127), ("SWIN", 158)])
 def test_variant_ii_loss_tape_node_count(decoder, nodes):
     """Variant II packs the kept windows into the half-side grid with one
     gather node along the token axis."""
@@ -407,7 +414,7 @@ def tape_owned_bytes(tape):
 def test_desk_tape_keeps_no_gelu_output_or_attention_scores():
     """The MLP node keeps its pre-activation, not the GELU output, and the
     attention node keeps its weights, not the scores; no other node outputs
-    an array of either shape. A B=16 f32 depth-2 desk loss owns 9837088
+    an array of either shape. A B=16 f32 depth-2 desk loss owns 9835552
     bytes (12827424 with the unfused attention core and MLP)."""
     spec = desk_spec(stage_depths=(2, 2, 2, 2))
     model = SwinMae(spec, seed=0)
@@ -417,11 +424,15 @@ def test_desk_tape_keeps_no_gelu_output_or_attention_scores():
     image = Tensor(split_rng(0, 2).random((16, 3, 32, 32)), dtype=np.float32)
     with Tape() as tape:
         model.loss(image, plan)
-    assert tape_owned_bytes(tape) == 9837088
+    assert tape_owned_bytes(tape) == 9835552
     attn = [n for n in tape.nodes if n.op == "attention"]
     mlps = [n for n in tape.nodes if n.op == "mlp"]
     assert len(attn) == len(mlps) == 14
-    scores = {q.shape[:3] + q.shape[2:3] for q in (n.inputs[0] for n in attn)}
+    # [nB, heads, T, T], heads read from the [T*T, heads] bias rows that
+    # every desk block has
+    scores = {
+        (q.shape[0], b.shape[1]) + q.shape[1:2] * 2 for q, _, _, b in (n.inputs for n in attn)
+    }
     hidden = {x.shape[:-1] + w1.shape[1:] for x, w1 in (n.inputs[:2] for n in mlps)}
     assert not {"gelu", "softmax"} & {n.op for n in tape.nodes}
     assert all(n.output.shape not in scores | hidden for n in tape.nodes)
@@ -635,9 +646,10 @@ def test_parameter_grad_check_sample():
 
 
 def test_attention_records_no_scale_or_add_node_and_splits_heads_as_views():
-    """The attention core is one node after the q, k and v projections and
-    their head splits, which are views of the projections: no score- or
-    activation-sized copies."""
+    """Three projection matmuls, the bias gather, the attention core and the
+    output projection. The core splits the heads as views of the
+    projections, holds no score- or activation-sized copy of them, and hands
+    back contiguous [nB, T, C] and [T*T, heads] gradients."""
     ps = block_params(4, 2, 2)
     xw = Tensor(np.random.default_rng(3).standard_normal((8, 4, 4)), requires_grad=True)
     with Tape() as tape:
@@ -645,16 +657,16 @@ def test_attention_records_no_scale_or_add_node_and_splits_heads_as_views():
             xw, ps, "blk.attn", 2, relative_position_index(2),
             P.shift_attention_mask(4, 4, 2, 1),
         )
-    ops = [n.op for n in tape.nodes]
-    assert "scale" not in ops and "add" not in ops and "softmax" not in ops
-    assert [(n.op, len(n.inputs)) for n in tape.nodes if n.op == "attention"] == [("attention", 4)]
-    assert ops.count("matmul") == 4
-    splits = [n for n in tape.nodes if n.op == "split_heads"]
-    assert len(splits) == 3
-    for n in splits:
-        assert np.shares_memory(n.output.data, n.inputs[0].data)
-    core = tape.nodes[ops.index("attention")]
-    assert [id(t) for t in core.inputs[:3]] == [id(n.output) for n in splits]
+    assert [n.op for n in tape.nodes] == ["matmul"] * 3 + ["gather", "attention", "matmul"]
+    core = tape.nodes[4]
+    assert [id(t) for t in core.inputs] == [id(n.output) for n in tape.nodes[:4]]
+    held = [c.cell_contents for c in core.backward_fn.__closure__]
+    heads = [a for a in held if isinstance(a, np.ndarray) and a.size == xw.data.size]
+    assert {a.shape for a in heads} == {(8, 2, 4, 2)}
+    assert [sum(np.shares_memory(a, x.data) for a in heads) for x in core.inputs[:3]] == [1] * 3
+    grads = core.backward_fn(np.ones(core.output.shape))
+    assert [g.shape for g in grads] == [(8, 4, 4)] * 3 + [(16, 2)]
+    assert all(g.flags.c_contiguous for g in grads)
 
 
 def test_window_geometry_is_built_once_and_read_only():

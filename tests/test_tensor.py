@@ -574,38 +574,22 @@ def test_softmax_scale_and_bias_match_separate_nodes(dtype):
     assert_bits_equal(runs[0][1], runs[1][1])
 
 
-def test_split_heads_is_a_view_with_the_gradient_of_reshape_and_transpose():
-    rng = np.random.default_rng(23)
-    data = rng.standard_normal((3, 5, 8))
-    w = Tensor(rng.standard_normal((3, 2, 5, 4)))
-    runs = []
-    for f in (
-        lambda t: T.split_heads(t, 2),
-        lambda t: T.transpose(T.reshape(t, (3, 5, 2, 4)), (0, 2, 1, 3)),
-    ):
-        x = Tensor(data.copy(), requires_grad=True)
-        with Tape() as tape:
-            y = f(x)
-            loss = T.sum_(T.mul(y, w))
-        T.backward(loss, tape)
-        runs.append((x, y))
-    (x, y), (_, want) = runs
-    assert np.shares_memory(y.data, x.data)
-    assert x.grad.flags.c_contiguous
-    assert_bits_equal([y.data, x.grad], [want.data, runs[1][0].grad])
-
-
 # ------------------------------------------------------ fused attention, MLP
 
 # The unfused chains the fused ops replaced, kept as bit-exact oracles.
 
 
-def attention_chain(q, k, v, mask, scale, bias):
-    nb, heads, t, hd = q.shape
+def attention_chain(q, k, v, heads, mask, bias):
+    nb, t, c = q.shape
+    q, k, v = (
+        T.transpose(T.reshape(x, (nb, t, heads, c // heads)), (0, 2, 1, 3)) for x in (q, k, v)
+    )
+    if bias is not None:
+        bias = T.reshape(T.transpose(T.reshape(bias, (t, t, heads)), (2, 0, 1)), (1, heads, t, t))
     scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))
-    a = T.softmax_lastdim(scores, mask, scale=scale, bias=bias)
+    a = T.softmax_lastdim(scores, mask, scale=float(1.0 / np.sqrt(c // heads)), bias=bias)
     out = T.transpose(T.matmul(a, v), (0, 2, 1, 3))
-    return T.reshape(out, (nb, t, heads * hd))
+    return T.reshape(out, (nb, t, c))
 
 
 def mlp_chain(x, w1, b1, w2, b2):
@@ -625,10 +609,10 @@ def run_chain(f, arrays, g):
 
 
 def attention_inputs(rng, dtype, nb, heads, t, hd):
-    """Projections [nB, T, C] that the heads split as views, a relative bias
-    and an output gradient."""
+    """Projections [nB, T, C], gathered [T*T, heads] relative-bias rows and an
+    output gradient."""
     xs = [rng.standard_normal((nb, t, heads * hd)).astype(dtype) for _ in range(3)]
-    bias = rng.standard_normal((1, heads, t, t)).astype(dtype)
+    bias = rng.standard_normal((t * t, heads)).astype(dtype)
     return xs, bias, rng.standard_normal((nb, t, heads * hd)).astype(dtype)
 
 
@@ -637,9 +621,10 @@ def attention_inputs(rng, dtype, nb, heads, t, hd):
 @pytest.mark.parametrize("shifted", [True, False])
 @pytest.mark.parametrize(
     "grid,window,heads,hd",
-    # a desk block, and the first full-scale stage, whose GEMMs round
-    # differently when an operand is a view rather than a contiguous copy
-    [(4, 2, 3, 5), (56, 7, 3, 32)],
+    # a desk block; the first full-scale stage, whose GEMMs round differently
+    # when an operand is a view rather than a contiguous copy; and the last,
+    # one window, where the bias gradient is a view of the score gradient
+    [(4, 2, 3, 5), (56, 7, 3, 32), (7, 7, 24, 32)],
 )
 def test_window_attention_bit_identical_to_unfused_chain(
     grid, window, heads, hd, dtype, with_bias, shifted
@@ -653,13 +638,12 @@ def test_window_attention_bit_identical_to_unfused_chain(
     runs = []
     for core in (T.window_attention, attention_chain):
 
-        def f(xq, xk, xv, b=None, core=core):
-            q, k, v = (T.split_heads(x, heads) for x in (xq, xk, xv))
-            return core(q, k, v, mask, hd ** -0.5, b)
+        def f(q, k, v, b=None, core=core):
+            return core(q, k, v, heads, mask, b)
 
         runs.append(run_chain(f, arrays, g))
     (fused, ops), (chain, _) = runs
-    assert ops.count("attention") == 1 and "softmax" not in ops and "matmul" not in ops
+    assert ops == ["attention", "mul", "sum"]
     assert_bits_equal(fused, chain)
 
 
@@ -685,17 +669,17 @@ def test_mlp_bit_identical_to_unfused_chain(x_shape, hidden, dtype):
 @pytest.mark.parametrize("wrt", ["q", "k", "v", "bias"])
 def test_window_attention_grad_check(wrt):
     """Four shifted windows, and one window without a mask, where the bias
-    gradient has the scores' shape (the bias gradient must not alias the
-    scaled score gradient)."""
+    gradient is a view of the score gradient (it must not alias the scaled
+    score gradient)."""
     rng = np.random.default_rng(25)
     for nb, mask in ((4, shift_attention_mask(4, 4, 2, 1)), (1, None)):
-        args = {n: rng.standard_normal((nb, 2, 4, 3)) for n in ("q", "k", "v")}
-        args["bias"] = rng.standard_normal((1, 2, 4, 4))
+        args = {n: rng.standard_normal((nb, 4, 6)) for n in ("q", "k", "v")}
+        args["bias"] = rng.standard_normal((16, 2))
         weights = Tensor(rng.standard_normal((nb, 4, 6)))
 
         def f(t):
             q, k, v, bias = (t if n == wrt else Tensor(a) for n, a in args.items())
-            y = T.window_attention(q, k, v, mask, 3 ** -0.5, bias)
+            y = T.window_attention(q, k, v, 2, mask, bias)
             return T.sum_(T.square(T.mul(y, weights)))
 
         assert T.grad_check(f, Tensor(args[wrt].copy())) < 1e-6, nb
@@ -717,15 +701,15 @@ def test_mlp_grad_check(wrt):
 
 def test_fused_attention_and_mlp_raise_named_errors():
     rng = np.random.default_rng(27)
-    q, k, v = (Tensor(rng.standard_normal((2, 1, 2, 2))) for _ in range(3))
+    q, k, v = (Tensor(rng.standard_normal((2, 2, 2))) for _ in range(3))
     row_masked = np.zeros((1, 2, 2))
     row_masked[0, 1] = -np.inf
     with pytest.raises(TensorError, match="softmax: row with all entries masked"):
-        T.window_attention(q, k, v, row_masked, 1.0)
-    big = Tensor(np.full((2, 1, 2, 2), 1e200))
+        T.window_attention(q, k, v, 1, row_masked)
+    big = Tensor(np.full((2, 2, 2), 1e200))
     with np.errstate(over="ignore"):
         with pytest.raises(TensorError, match="attention: non-finite"):
-            T.window_attention(big, big, v, None, 1.0)
+            T.window_attention(big, big, v, 1)
     w1, b1, w2, b2 = (Tensor(np.ones(s)) for s in ((2, 3), (3,), (3, 2), (2,)))
     with np.errstate(over="ignore", invalid="ignore"):
         # a 1e103 pre-activation cubed overflows f64
